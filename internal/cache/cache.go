@@ -68,7 +68,7 @@ type set struct {
 
 type mshrEntry struct {
 	lineAddr uint64
-	waiters  []*mem.ReadReq
+	waiters  sim.FIFO[*mem.ReadReq]
 }
 
 type pendingWrite struct {
@@ -99,6 +99,10 @@ type Cache struct {
 	writes   map[uint64]pendingWrite
 	// passthrough tracks forwarded non-cacheable reads by bottom ID.
 	passthrough map[uint64]*mem.ReadReq
+	// freeMSHR recycles retired MSHR entries with their waiter storage.
+	freeMSHR []*mshrEntry
+	// hitRsps holds hit responses waiting out the fixed hit latency.
+	hitRsps *sim.DelayLine[sim.Msg]
 
 	// Stats
 	Hits, Misses, Coalesced uint64
@@ -144,6 +148,7 @@ func New(name string, part *sim.Partition, space *mem.Space, cfg Config) *Cache 
 	c.Top = sim.NewPort(c, name+".Top", cfg.PortBufferBytes)
 	c.Bottom = sim.NewPort(c, name+".Bottom", cfg.PortBufferBytes)
 	c.ticker = sim.NewTicker(part, c)
+	c.hitRsps = sim.NewDelayLine(part, c.sendHit)
 	return c
 }
 
@@ -210,26 +215,23 @@ func (c *Cache) NotifyRecv(now sim.Time, _ *sim.Port) { c.ticker.TickNow(now) }
 // NotifyPortFree implements sim.Component.
 func (c *Cache) NotifyPortFree(now sim.Time, _ *sim.Port) { c.ticker.TickNow(now) }
 
-// hitRspEvent delivers a hit response after the hit latency.
-type hitRspEvent struct {
-	sim.EventBase
-	rsp sim.Msg
-}
-
 // Handle implements sim.Handler.
 func (c *Cache) Handle(e sim.Event) error {
-	switch evt := e.(type) {
+	switch e.(type) {
 	case *sim.TickEvent:
 		c.tick(e.Time())
-		return nil
-	case hitRspEvent:
-		if !c.Top.Send(e.Time(), evt.rsp) {
-			return fmt.Errorf("%s: hit response rejected", c.Name())
-		}
 		return nil
 	default:
 		return fmt.Errorf("%s: unexpected event %T", c.Name(), e)
 	}
+}
+
+// sendHit delivers a hit response once the hit latency has elapsed.
+func (c *Cache) sendHit(now sim.Time, rsp sim.Msg) error {
+	if !c.Top.Send(now, rsp) {
+		return fmt.Errorf("%s: hit response rejected", c.Name())
+	}
+	return nil
 }
 
 func (c *Cache) tick(now sim.Time) {
@@ -289,10 +291,7 @@ func (c *Cache) handleRead(now sim.Time, req *mem.ReadReq) bool {
 		data := c.space.Read(req.Addr, req.N)
 		rsp := mem.NewDataReady(c.Top, req.Src, req.ID, req.Addr, data)
 		c.part.AssignMsgID(rsp)
-		c.part.Schedule(hitRspEvent{
-			EventBase: sim.NewEventBase(now+c.cfg.HitLatency, c),
-			rsp:       rsp,
-		})
+		c.hitRsps.Push(now+c.cfg.HitLatency, rsp)
 		return true
 	}
 
@@ -300,7 +299,7 @@ func (c *Cache) handleRead(now sim.Time, req *mem.ReadReq) bool {
 		// Coalesce with the outstanding fetch.
 		c.Coalesced++
 		c.Top.Retrieve(now)
-		entry.waiters = append(entry.waiters, req)
+		entry.waiters.Push(req)
 		return true
 	}
 
@@ -315,10 +314,22 @@ func (c *Cache) handleRead(now sim.Time, req *mem.ReadReq) bool {
 	}
 	c.Misses++
 	c.Top.Retrieve(now)
-	entry := &mshrEntry{lineAddr: la, waiters: []*mem.ReadReq{req}}
+	entry := c.newMSHR(la)
+	entry.waiters.Push(req)
 	c.mshr[fetch.ID] = entry
 	c.mshrLine[la] = entry
 	return true
+}
+
+// newMSHR takes a retired entry (keeping its waiter storage) or builds one.
+func (c *Cache) newMSHR(lineAddr uint64) *mshrEntry {
+	if n := len(c.freeMSHR); n > 0 {
+		e := c.freeMSHR[n-1]
+		c.freeMSHR = c.freeMSHR[:n-1]
+		e.lineAddr = lineAddr
+		return e
+	}
+	return &mshrEntry{lineAddr: lineAddr}
 }
 
 func (c *Cache) handleWrite(now sim.Time, req *mem.WriteReq) bool {
@@ -359,23 +370,24 @@ func (c *Cache) processBottom(now sim.Time) bool {
 		}
 		// Deliver to the first waiter; requeue the rest as hits next tick.
 		// All waiters must receive a response before the MSHR retires.
-		if len(entry.waiters) > 0 {
-			w := entry.waiters[0]
+		if entry.waiters.Len() > 0 {
+			w := entry.waiters.Front()
 			data := c.space.Read(w.Addr, w.N)
 			up := mem.NewDataReady(c.Top, w.Src, w.ID, w.Addr, data)
 			c.part.AssignMsgID(up)
 			if !c.Top.Send(now, up) {
 				return false
 			}
-			entry.waiters = entry.waiters[1:]
+			entry.waiters.Pop()
 		}
-		if len(entry.waiters) > 0 {
+		if entry.waiters.Len() > 0 {
 			return true // stay on this fill next iteration
 		}
 		c.install(entry.lineAddr)
 		c.Bottom.Retrieve(now)
 		delete(c.mshr, rsp.RspTo)
 		delete(c.mshrLine, entry.lineAddr)
+		c.freeMSHR = append(c.freeMSHR, entry)
 		return true
 	case *mem.WriteACK:
 		pw, ok := c.writes[rsp.RspTo]

@@ -142,9 +142,13 @@ func NewBus(name string, part *sim.Partition, cfg Config) *Bus {
 	return b
 }
 
-// transferDoneEvent completes an in-flight transmission.
-type transferDoneEvent struct {
-	sim.EventBase
+// transferDone is the payload-free tick that completes the in-flight
+// transmission (the message itself is held in Bus.inFlight).
+type transferDone struct{ b *Bus }
+
+func (d transferDone) Handle(e sim.Event) error {
+	d.b.completeTransfer(e.Time())
+	return nil
 }
 
 // Handle implements sim.Handler for the hub-side events.
@@ -153,25 +157,16 @@ func (b *Bus) Handle(e sim.Event) error {
 	case *sim.TickEvent:
 		b.arbitrate(e.Time())
 		return nil
-	case linkIngressEvent:
-		evt.ep.queue = append(evt.ep.queue, evt.msg)
-		b.arbitrate(e.Time())
-		return nil
-	case inCreditEvent:
-		evt.ep.refund(evt.bytes)
-		b.arbitrate(e.Time())
-		return nil
-	case transferDoneEvent:
-		b.completeTransfer(e.Time())
-		return nil
 	case faultDeliverEvent:
-		b.pendingFaults--
-		b.handOff(e.Time(), evt.msg)
+		b.faultDelivered(e.Time(), evt)
 		return nil
 	default:
 		return fmt.Errorf("fabric %s: unexpected event %T", b.Name(), e)
 	}
 }
+
+func (b *Bus) ingressed(now sim.Time, _ *endpoint) { b.arbitrate(now) }
+func (b *Bus) credited(now sim.Time, _ *endpoint)  { b.arbitrate(now) }
 
 // arbitrate starts the next transmission if the bus is idle: scan endpoints
 // round-robin and pick the first whose head message fits in its
@@ -183,23 +178,23 @@ func (b *Bus) arbitrate(now sim.Time) {
 	n := len(b.endpoints)
 	for i := 0; i < n; i++ {
 		ep := b.endpoints[(b.nextRR+i)%n]
-		if len(ep.queue) == 0 {
+		if ep.queue.Len() == 0 {
 			continue
 		}
-		msg := ep.queue[0]
+		msg := ep.queue.Front()
 		bytes := msg.Meta().Bytes
 		if !b.byPort[msg.Meta().Dst].reserve(bytes) {
 			continue // head-of-line blocked; try another endpoint
 		}
 		// Claim the bus.
-		ep.queue = ep.queue[1:]
+		ep.queue.Pop()
 		b.nextRR = (b.nextRR + i + 1) % n
 		b.inFlight = msg
 		b.inFlightStart = now
 		cycles := b.cycles(bytes)
 		b.busyUntil = now + cycles
 		b.BusyCycles += uint64(cycles)
-		b.part.Schedule(transferDoneEvent{EventBase: sim.NewEventBase(b.busyUntil, b)})
+		b.part.ScheduleTick(b.busyUntil, transferDone{b})
 		// Output space freed: credit the sender's link.
 		b.outCredit(now, ep, bytes)
 		// The wire is committed through busyUntil: arbitrate is a no-op while
@@ -274,7 +269,7 @@ func (b *Bus) EnergyPJ() float64 {
 func (b *Bus) QueuedMessages() int {
 	n := 0
 	for _, ep := range b.endpoints {
-		n += len(ep.queue)
+		n += ep.queue.Len()
 	}
 	if b.inFlight != nil {
 		n++

@@ -19,7 +19,7 @@ type hub struct {
 	sim.ComponentBase
 	part *sim.Partition
 	cfg  Config
-	arb  sim.Handler // the concrete fabric (Bus/Crossbar)
+	arb  arbiter // the concrete fabric (Bus/Crossbar/SwitchFabric)
 
 	endpoints []*endpoint
 	byPort    map[*sim.Port]*endpoint
@@ -31,6 +31,17 @@ type hub struct {
 	pendingFaults int
 }
 
+// arbiter is the policy half of a concrete fabric. The hub calls it after
+// an endpoint's ingress queue grew or its input credit was refunded, and
+// routes fault-delayed deliveries to its Handle.
+type arbiter interface {
+	sim.Handler
+	// ingressed runs arbitration after a message joined ep's ingress queue.
+	ingressed(now sim.Time, ep *endpoint)
+	// credited runs arbitration after ep's input credit grew.
+	credited(now sim.Time, ep *endpoint)
+}
+
 // endpoint is the hub-side view of one attached port: its ingress queue
 // (messages that crossed the wire from the owner and await arbitration) and
 // the input-credit counter mirroring the destination buffer.
@@ -38,34 +49,51 @@ type endpoint struct {
 	port    *sim.Port
 	link    *fabricLink
 	toOwner *sim.Remote
-	queue   []sim.Msg
+	queue   sim.FIFO[sim.Msg]
 	// inCredit tracks how many bytes of the port's input buffer the hub may
 	// still claim; -1 means the buffer is unbounded. Credits are reserved
 	// when a transfer claims the fabric and returned by the owner-side link
 	// as the component drains its port.
 	inCredit int
 
+	// deliver and outCredit are the hub-to-owner wires: completed
+	// transfers land in the port, and output-buffer credits return to the
+	// link. Both run at exactly LinkLatency, so each is a delay line. In
+	// switched fabrics outCredit rides a dedicated hub-to-owner link:
+	// switched fabrics publish next-send promises on toOwner while an
+	// egress transmission is in flight, and credits for the endpoint's own
+	// ingress traffic are emitted at injection time and may legitimately
+	// precede that horizon, so they must ride a link the promise does not
+	// cover.
+	deliver   *sim.RemoteLine[sim.Msg]
+	outCredit *sim.RemoteLine[int]
+
+	// wire serializes the endpoint's one-at-a-time hub link: the output
+	// link of a crossbar source, or the switch-to-owner egress wire of a
+	// switched-fabric destination. One transmission is in flight at a time
+	// and each starts no earlier than its predecessor finished, so
+	// completions form a delay line. Unused by the bus.
+	wire *sim.DelayLine[transfer]
+
 	// Switched-fabric state (unused by bus and crossbar).
 	//
-	// creditOut, when non-nil, carries output-buffer credits on a dedicated
-	// hub-to-owner link. Switched fabrics publish next-send promises on
-	// toOwner while an egress transmission is in flight; credits for the
-	// endpoint's own ingress traffic are emitted at injection time and may
-	// legitimately precede that horizon, so they must ride a link the
-	// promise does not cover.
-	creditOut *sim.Remote
 	// sw is the switch this endpoint hangs off.
 	sw int
 	// egrInFlight and egrQueue serialize the endpoint's egress wire:
 	// messages that reached the destination switch wait here for the
 	// switch-to-owner link, which moves BytesPerCycle like every other
 	// link. The flag (not a busy-until time) keeps the wire occupied until
-	// the completion event has actually fired: an event landing at exactly
-	// the completion time must not start the next transmission first, or
-	// its next-send promise would overtake the completed message's
-	// hand-off.
+	// the completion has actually fired: an event landing at exactly the
+	// completion time must not start the next transmission first, or its
+	// next-send promise would overtake the completed message's hand-off.
 	egrInFlight bool
-	egrQueue    []sim.Msg
+	egrQueue    sim.FIFO[sim.Msg]
+}
+
+// transfer is one transmission in flight on a serializing wire.
+type transfer struct {
+	msg   sim.Msg
+	start sim.Time
 }
 
 func newHub(name string, part *sim.Partition, cfg Config) hub {
@@ -85,28 +113,45 @@ func newHub(name string, part *sim.Partition, cfg Config) hub {
 
 // Attach connects a port owned by a component in partition owner to the
 // fabric. It builds the owner-side link (a sim.Connection local to the
-// owner) and the two sim.Remote channels carrying traffic and credits
-// between the owner and the hub; the fabric's LinkLatency is the declared
-// minimum latency of both, which floors the engine's adaptive window
-// bounds on these links.
-func (h *hub) Attach(p *sim.Port, owner *sim.Partition) {
+// owner) and the sim.Remote channels carrying traffic and credits between
+// the owner and the hub; the fabric's LinkLatency is the declared minimum
+// latency of each, which floors the engine's adaptive window bounds on
+// these links.
+func (h *hub) Attach(p *sim.Port, owner *sim.Partition) { h.attach(p, owner, false) }
+
+// attach implements Attach; creditLink routes output-buffer credits over a
+// dedicated hub-to-owner link instead of toOwner (see endpoint.outCredit).
+func (h *hub) attach(p *sim.Port, owner *sim.Partition, creditLink bool) *endpoint {
 	credit := -1
 	if c := p.Capacity(); c > 0 {
 		credit = c
 	}
+	eng := h.part.Engine()
 	ep := &endpoint{port: p, inCredit: credit}
-	ep.toOwner = h.part.Engine().Link(h.part, owner, h.cfg.LinkLatency)
-	link := &fabricLink{
-		hub:  h,
-		part: owner,
-		port: p,
-		ep:   ep,
+	ep.toOwner = eng.Link(h.part, owner, h.cfg.LinkLatency)
+	link := &fabricLink{hub: h, part: owner, port: p}
+	toHub := eng.Link(owner, h.part, h.cfg.LinkLatency)
+	link.ingress = sim.NewRemoteLine(toHub, func(now sim.Time, m sim.Msg) error {
+		ep.queue.Push(m)
+		h.arb.ingressed(now, ep)
+		return nil
+	})
+	link.inCredit = sim.NewRemoteLine(toHub, func(now sim.Time, bytes int) error {
+		ep.refund(bytes)
+		h.arb.credited(now, ep)
+		return nil
+	})
+	ep.deliver = sim.NewRemoteLine(ep.toOwner, link.land)
+	creditOut := ep.toOwner
+	if creditLink {
+		creditOut = eng.Link(h.part, owner, h.cfg.LinkLatency)
 	}
-	link.toHub = h.part.Engine().Link(owner, h.part, h.cfg.LinkLatency)
+	ep.outCredit = sim.NewRemoteLine(creditOut, link.credit)
 	ep.link = link
 	h.endpoints = append(h.endpoints, ep)
 	h.byPort[p] = ep
 	p.SetConnection(link)
+	return ep
 }
 
 // reserve claims n bytes of the destination's input credit; it reports
@@ -141,6 +186,8 @@ func (h *hub) finish(now sim.Time, msg sim.Msg) {
 			return // dropped; the RDMA guard's timeout recovers
 		}
 		if out.Delay > 0 {
+			// Fault delays vary per message, so the delayed hand-off is a
+			// boxed event rather than a delay-line item.
 			h.pendingFaults++
 			h.part.Schedule(faultDeliverEvent{
 				EventBase: sim.NewEventBase(now+out.Delay, h.arb),
@@ -156,12 +203,13 @@ func (h *hub) finish(now sim.Time, msg sim.Msg) {
 // handOff ships a message across the egress wire to the destination's
 // owner partition, where the link delivers it into the port buffer.
 func (h *hub) handOff(now sim.Time, msg sim.Msg) {
-	ep := h.byPort[msg.Meta().Dst]
-	ep.toOwner.Schedule(linkDeliverEvent{
-		EventBase: sim.NewEventBase(now+h.cfg.LinkLatency, ep.link),
-		link:      ep.link,
-		msg:       msg,
-	})
+	h.byPort[msg.Meta().Dst].deliver.Post(now+h.cfg.LinkLatency, msg)
+}
+
+// faultDelivered finishes a fault-delayed delivery (see faultDeliverEvent).
+func (h *hub) faultDelivered(now sim.Time, evt faultDeliverEvent) {
+	h.pendingFaults--
+	h.handOff(now, evt.msg)
 }
 
 // cycles returns the integral bus occupancy of a message.
@@ -175,19 +223,9 @@ func (h *hub) cycles(bytes int) sim.Time {
 
 // outCredit returns output-buffer space to the source link once its message
 // has claimed the fabric (the classic "output queue drains at arbitration"
-// semantics, now with the wire latency made explicit). Switched fabrics
-// route the credit over the endpoint's dedicated credit link so it is never
-// constrained by an egress next-send promise on toOwner.
+// semantics, now with the wire latency made explicit).
 func (h *hub) outCredit(now sim.Time, ep *endpoint, bytes int) {
-	r := ep.toOwner
-	if ep.creditOut != nil {
-		r = ep.creditOut
-	}
-	r.Schedule(outCreditEvent{
-		EventBase: sim.NewEventBase(now+h.cfg.LinkLatency, ep.link),
-		link:      ep.link,
-		bytes:     bytes,
-	})
+	ep.outCredit.Post(now+h.cfg.LinkLatency, bytes)
 }
 
 // fabricLink is the owner-partition side of one fabric attachment. It
@@ -196,11 +234,13 @@ func (h *hub) outCredit(now sim.Time, ep *endpoint, bytes int) {
 // references into the hub are the immutable configuration and the
 // Attach-time port table.
 type fabricLink struct {
-	hub   *hub
-	part  *sim.Partition
-	port  *sim.Port
-	toHub *sim.Remote
-	ep    *endpoint
+	hub  *hub
+	part *sim.Partition
+	port *sim.Port
+	// ingress and inCredit are the owner-to-hub wires (one sim.Remote):
+	// messages entering the fabric and drained input-buffer credit.
+	ingress  *sim.RemoteLine[sim.Msg]
+	inCredit *sim.RemoteLine[int]
 
 	// outstanding counts bytes accepted into the endpoint's (modelled)
 	// output buffer and not yet credited back by arbitration.
@@ -242,11 +282,7 @@ func (l *fabricLink) Send(now sim.Time, m sim.Msg) bool {
 	}
 	l.outstanding += n
 	meta.SendTime = now
-	l.toHub.Schedule(linkIngressEvent{
-		EventBase: sim.NewEventBase(now+l.hub.cfg.LinkLatency, l.hub.arb),
-		ep:        l.ep,
-		msg:       m,
-	})
+	l.ingress.Post(now+l.hub.cfg.LinkLatency, m)
 	return true
 }
 
@@ -264,63 +300,28 @@ func (l *fabricLink) reconcile(now sim.Time) {
 	used := l.port.UsedBytes()
 	if freed := l.lastUsed - used; freed > 0 {
 		l.lastUsed = used
-		l.toHub.Schedule(inCreditEvent{
-			EventBase: sim.NewEventBase(now+l.hub.cfg.LinkLatency, l.hub.arb),
-			ep:        l.ep,
-			bytes:     freed,
-		})
+		l.inCredit.Post(now+l.hub.cfg.LinkLatency, freed)
 	}
 }
 
-// Handle processes the hub-to-owner events for this link.
-func (l *fabricLink) Handle(e sim.Event) error {
-	switch evt := e.(type) {
-	case linkDeliverEvent:
-		// Count the delivery against the mirrored occupancy before Deliver:
-		// the receiving component may drain the port synchronously from
-		// NotifyRecv, and the freed bytes must be visible to reconcile.
-		l.lastUsed += evt.msg.Meta().Bytes
-		l.port.Deliver(e.Time(), evt.msg)
-		l.reconcile(e.Time())
-		return nil
-	case outCreditEvent:
-		l.outstanding -= evt.bytes
-		l.port.Component().NotifyPortFree(e.Time(), l.port)
-		return nil
-	default:
-		return fmt.Errorf("fabric %s: link %s: unexpected event %T", l.hub.Name(), l.port.Name(), e)
-	}
+// land delivers a completed transfer into the port, on the destination's
+// own partition.
+func (l *fabricLink) land(now sim.Time, m sim.Msg) error {
+	// Count the delivery against the mirrored occupancy before Deliver: the
+	// receiving component may drain the port synchronously from NotifyRecv,
+	// and the freed bytes must be visible to reconcile.
+	l.lastUsed += m.Meta().Bytes
+	l.port.Deliver(now, m)
+	l.reconcile(now)
+	return nil
 }
 
-// linkIngressEvent carries a message from an owner-side link onto the hub's
-// ingress queue for that endpoint.
-type linkIngressEvent struct {
-	sim.EventBase
-	ep  *endpoint
-	msg sim.Msg
-}
-
-// inCreditEvent returns drained input-buffer bytes to the hub.
-type inCreditEvent struct {
-	sim.EventBase
-	ep    *endpoint
-	bytes int
-}
-
-// linkDeliverEvent lands a completed transfer in the destination port, on
-// the destination's own partition.
-type linkDeliverEvent struct {
-	sim.EventBase
-	link *fabricLink
-	msg  sim.Msg
-}
-
-// outCreditEvent frees output-buffer space on the source link after its
-// message claimed the fabric.
-type outCreditEvent struct {
-	sim.EventBase
-	link  *fabricLink
-	bytes int
+// credit frees output-buffer space after the link's message claimed the
+// fabric.
+func (l *fabricLink) credit(now sim.Time, bytes int) error {
+	l.outstanding -= bytes
+	l.port.Component().NotifyPortFree(now, l.port)
+	return nil
 }
 
 // faultDeliverEvent finishes a fault-delayed delivery; the input-credit

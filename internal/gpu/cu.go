@@ -24,8 +24,13 @@ func DefaultCUConfig() CUConfig {
 }
 
 type wavefront struct {
-	wg    *wgInstance
+	wg *wgInstance
+	// queue is the segment of the operation stream executing now; rest
+	// holds the segments a continuation interrupted, innermost last. The
+	// stream is queue followed by rest from top to bottom, and queue is
+	// empty only when rest is too.
 	queue []Op
+	rest  [][]Op
 	// busyUntil is set by ComputeOps.
 	busyUntil sim.Time
 	waiting   bool // blocked on an outstanding read
@@ -45,6 +50,31 @@ func (wg *wgInstance) complete() bool {
 	return wg.doneWaves == len(wg.waves) && wg.pendingWrites == 0
 }
 
+// pop removes the head operation, resuming an interrupted segment when the
+// current one runs out.
+func (wf *wavefront) pop() {
+	wf.queue = wf.queue[1:]
+	if len(wf.queue) == 0 && len(wf.rest) > 0 {
+		n := len(wf.rest) - 1
+		wf.queue = wf.rest[n]
+		wf.rest[n] = nil
+		wf.rest = wf.rest[:n]
+	}
+}
+
+// splice makes cont run before the rest of the stream. The continuation is
+// read in place, never copied: it becomes the current segment and the
+// interrupted one is suspended on rest.
+func (wf *wavefront) splice(cont []Op) {
+	if len(cont) == 0 {
+		return
+	}
+	if len(wf.queue) > 0 {
+		wf.rest = append(wf.rest, wf.queue)
+	}
+	wf.queue = cont
+}
+
 // CU is one compute unit. It executes the operation streams of its resident
 // workgroups, interleaving wavefronts to hide memory latency the way a real
 // GPU's SIMD scheduler does.
@@ -58,8 +88,15 @@ type CU struct {
 	ToL1  *sim.Port
 	l1Dst *sim.Port
 
-	queue  []*wgInstance // assigned, waiting for a resident slot
+	queue  sim.FIFO[*wgInstance] // assigned, waiting for a resident slot
 	active []*wgInstance
+
+	// Per-CU scratch reused across ticks: the wavefronts ready to issue,
+	// and retired workgroups and wavefronts (with their storage) awaiting
+	// reuse.
+	ready     []*wavefront
+	freeWGs   []*wgInstance
+	freeWaves []*wavefront
 
 	pendingReads  map[uint64]*wavefront
 	pendingWrites map[uint64]*wgInstance
@@ -106,14 +143,21 @@ func NewCU(name string, part *sim.Partition, cfg CUConfig) *CU {
 
 // Assign queues a workgroup on this CU. Called by the command processor.
 func (c *CU) Assign(now sim.Time, k *Kernel, wg int) {
-	inst := &wgInstance{id: wg, kernel: k}
-	c.queue = append(c.queue, inst)
+	var inst *wgInstance
+	if n := len(c.freeWGs); n > 0 {
+		inst = c.freeWGs[n-1]
+		c.freeWGs = c.freeWGs[:n-1]
+	} else {
+		inst = new(wgInstance)
+	}
+	inst.id, inst.kernel = wg, k
+	c.queue.Push(inst)
 	c.ticker.TickNow(now)
 }
 
 // Idle reports whether the CU has no work at all.
 func (c *CU) Idle() bool {
-	return len(c.queue) == 0 && len(c.active) == 0
+	return c.queue.Len() == 0 && len(c.active) == 0
 }
 
 // NotifyRecv implements sim.Component.
@@ -158,12 +202,9 @@ func (c *CU) drainResponses(now sim.Time) {
 			// The completed op is still at the head of the queue; pop it
 			// and splice in its continuation.
 			op := wf.queue[0].(ReadOp)
-			wf.queue = wf.queue[1:]
+			wf.pop()
 			if op.Then != nil {
-				cont := op.Then(rsp.Data)
-				if len(cont) > 0 {
-					wf.queue = append(append([]Op{}, cont...), wf.queue...)
-				}
+				wf.splice(op.Then(rsp.Data))
 			}
 		case *mem.WriteACK:
 			wg, ok := c.pendingWrites[rsp.RspTo]
@@ -179,28 +220,52 @@ func (c *CU) drainResponses(now sim.Time) {
 }
 
 func (c *CU) activateWGs(now sim.Time) {
-	for len(c.active) < c.cfg.MaxResidentWGs && len(c.queue) > 0 {
-		inst := c.queue[0]
-		c.queue = c.queue[1:]
+	for len(c.active) < c.cfg.MaxResidentWGs && c.queue.Len() > 0 {
+		inst := c.queue.Pop()
 		streams := inst.kernel.Program(inst.id)
 		if len(streams) == 0 {
 			// Degenerate empty workgroup: retires immediately.
-			c.WGsRetired++
-			if c.OnWGDone != nil {
-				c.OnWGDone(inst.id)
-			}
+			c.retire(inst)
 			continue
 		}
 		for _, ops := range streams {
-			inst.waves = append(inst.waves, &wavefront{wg: inst, queue: ops})
+			inst.waves = append(inst.waves, c.newWave(inst, ops))
 		}
 		c.active = append(c.active, inst)
 	}
 }
 
+// newWave takes a retired wavefront (keeping its segment storage) or builds
+// one.
+func (c *CU) newWave(wg *wgInstance, ops []Op) *wavefront {
+	n := len(c.freeWaves)
+	if n == 0 {
+		return &wavefront{wg: wg, queue: ops}
+	}
+	wf := c.freeWaves[n-1]
+	c.freeWaves = c.freeWaves[:n-1]
+	*wf = wavefront{wg: wg, queue: ops, rest: wf.rest[:0]}
+	return wf
+}
+
+// retire counts a finished workgroup, reports it, and recycles its storage.
+func (c *CU) retire(wg *wgInstance) {
+	c.WGsRetired++
+	if c.OnWGDone != nil {
+		c.OnWGDone(wg.id)
+	}
+	for i, wf := range wg.waves {
+		wf.wg, wf.queue = nil, nil
+		c.freeWaves = append(c.freeWaves, wf)
+		wg.waves[i] = nil
+	}
+	*wg = wgInstance{waves: wg.waves[:0]}
+	c.freeWGs = append(c.freeWGs, wg)
+}
+
 // issue executes up to IssueWidth operations, rotating across wavefronts.
 func (c *CU) issue(now sim.Time) {
-	var waves []*wavefront
+	waves := c.ready[:0]
 	for _, wg := range c.active {
 		for _, wf := range wg.waves {
 			if !wf.done && !wf.waiting && !wf.atBarrier && wf.busyUntil <= now {
@@ -208,6 +273,7 @@ func (c *CU) issue(now sim.Time) {
 			}
 		}
 	}
+	c.ready = waves
 	if len(waves) == 0 {
 		return
 	}
@@ -231,7 +297,7 @@ func (c *CU) step(now sim.Time, wf *wavefront) bool {
 	}
 	switch op := wf.queue[0].(type) {
 	case ComputeOp:
-		wf.queue = wf.queue[1:]
+		wf.pop()
 		if op.Cycles > 0 {
 			wf.busyUntil = now + sim.Time(op.Cycles)
 			c.ComputeCycles += uint64(op.Cycles)
@@ -254,7 +320,7 @@ func (c *CU) step(now sim.Time, wf *wavefront) bool {
 			return false
 		}
 		c.MemWritesIssued++
-		wf.queue = wf.queue[1:]
+		wf.pop()
 		wf.wg.pendingWrites++
 		c.pendingWrites[req.ID] = wf.wg
 		return true
@@ -279,7 +345,7 @@ func (c *CU) tryReleaseBarrier(wg *wgInstance) {
 	for _, wf := range wg.waves {
 		if wf.atBarrier {
 			wf.atBarrier = false
-			wf.queue = wf.queue[1:] // pop the barrier
+			wf.pop() // the barrier
 		}
 	}
 }
@@ -297,10 +363,7 @@ func (c *CU) retireWGs(now sim.Time) {
 			}
 		}
 		if wg.complete() {
-			c.WGsRetired++
-			if c.OnWGDone != nil {
-				c.OnWGDone(wg.id)
-			}
+			c.retire(wg)
 			continue
 		}
 		kept = append(kept, wg)
@@ -310,7 +373,7 @@ func (c *CU) retireWGs(now sim.Time) {
 
 // scheduleNext decides when the CU needs to run again.
 func (c *CU) scheduleNext(now sim.Time) {
-	if len(c.queue) > 0 {
+	if c.queue.Len() > 0 {
 		c.ticker.TickLater(now)
 		return
 	}

@@ -28,7 +28,9 @@ func (ComputeOp) isOp() {}
 // 64-byte line). The wavefront blocks until the data returns; if Then is
 // non-nil it is invoked with the data and may emit follow-up operations,
 // which execute before the rest of the wavefront's stream. This is how
-// data-dependent kernels (e.g. gradient averaging) are expressed.
+// data-dependent kernels (e.g. gradient averaging) are expressed. The CU
+// executes the returned slice in place, so Then must hand over a slice it
+// will not modify afterwards.
 type ReadOp struct {
 	Addr uint64
 	N    int

@@ -45,6 +45,9 @@ type DRAM struct {
 
 	busyUntil sim.Time
 	inflight  int
+	// accesses holds the requests in service; each completes exactly
+	// AccessLatency after it was dequeued, so completions are a delay line.
+	accesses *sim.DelayLine[sim.Msg]
 
 	// Stats
 	Reads  uint64
@@ -68,6 +71,7 @@ func NewDRAM(name string, part *sim.Partition, space *Space, cfg DRAMConfig) *DR
 	}
 	d.Top = sim.NewPort(d, name+".Top", cfg.PortBufferBytes)
 	d.ticker = sim.NewTicker(part, d)
+	d.accesses = sim.NewDelayLine(part, d.complete)
 	return d
 }
 
@@ -77,21 +81,13 @@ func (d *DRAM) NotifyRecv(now sim.Time, _ *sim.Port) { d.ticker.TickNow(now) }
 // NotifyPortFree implements sim.Component.
 func (d *DRAM) NotifyPortFree(now sim.Time, _ *sim.Port) { d.ticker.TickNow(now) }
 
-// dramDoneEvent fires when an access completes and its response can be sent.
-type dramDoneEvent struct {
-	sim.EventBase
-	req sim.Msg
-}
-
-// Handle implements sim.Handler: ticks dequeue requests, done events send
-// responses.
+// Handle implements sim.Handler: ticks dequeue requests (completions fire
+// through the accesses delay line).
 func (d *DRAM) Handle(e sim.Event) error {
-	switch evt := e.(type) {
+	switch e.(type) {
 	case *sim.TickEvent:
 		d.tick(e.Time())
 		return nil
-	case dramDoneEvent:
-		return d.complete(e.Time(), evt.req)
 	default:
 		return fmt.Errorf("%s: unexpected event %T", d.Name(), e)
 	}
@@ -122,10 +118,7 @@ func (d *DRAM) tick(now sim.Time) {
 		d.Top.Retrieve(now)
 		d.inflight++
 		d.busyUntil = now + d.cfg.CyclesPerLine
-		d.part.Schedule(dramDoneEvent{
-			EventBase: sim.NewEventBase(now+d.cfg.AccessLatency, d),
-			req:       msg,
-		})
+		d.accesses.Push(now+d.cfg.AccessLatency, msg)
 	}
 }
 

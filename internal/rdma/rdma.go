@@ -87,7 +87,7 @@ type Engine struct {
 	// per-endpoint output buffer. The fabric enforces the paper's buffer
 	// bound; this queue models the engine's internal pipeline registers
 	// upstream of it and is drained strictly in order.
-	outQueue []sim.Msg
+	outQueue sim.FIFO[sim.Msg]
 
 	// request tracking
 	pendingReads  map[uint64]*pendingRead  // wire ReadReq ID -> original local request
@@ -146,7 +146,7 @@ func (e *Engine) RegisterMetrics(reg *metrics.Registry, prefix string) {
 	reg.CounterFunc(prefix+"/writes_sent", func() uint64 { return e.WritesSent })
 	reg.CounterFunc(prefix+"/reads_served", func() uint64 { return e.ReadsServed })
 	reg.CounterFunc(prefix+"/writes_served", func() uint64 { return e.WritesServed })
-	reg.GaugeFunc(prefix+"/queue_depth", func() float64 { return float64(len(e.outQueue)) })
+	reg.GaugeFunc(prefix+"/queue_depth", func() float64 { return float64(e.outQueue.Len()) })
 	reg.DistributionFunc(prefix+"/read_latency", func() metrics.DistValue {
 		return metrics.DistValue{
 			Count: uint64(e.ReadLatency.Count()),
@@ -229,7 +229,7 @@ func (e *Engine) Handle(ev sim.Event) error {
 	case *sim.TickEvent:
 		return e.tick(ev.Time())
 	case delayedSendEvent:
-		e.outQueue = append(e.outQueue, evt.msg)
+		e.outQueue.Push(evt.msg)
 		e.drainOutQueue(ev.Time())
 		return nil
 	case delayedDeliverEvent:
@@ -274,12 +274,11 @@ func (e *Engine) tick(now sim.Time) error {
 }
 
 func (e *Engine) drainOutQueue(now sim.Time) {
-	for len(e.outQueue) > 0 {
-		msg := e.outQueue[0]
-		if !e.ToFabric.Send(now, msg) {
+	for e.outQueue.Len() > 0 {
+		if !e.ToFabric.Send(now, e.outQueue.Front()) {
 			return // fabric output buffer full; retry on NotifyPortFree
 		}
-		e.outQueue = e.outQueue[1:]
+		e.outQueue.Pop()
 	}
 }
 
@@ -297,7 +296,7 @@ func (e *Engine) handleLocal(now sim.Time, msg sim.Msg) error {
 		e.ReadsSent++
 		e.Rec.RemoteRead(e.GPU)
 		e.Rec.Header(ReadReqHeaderBytes)
-		e.outQueue = append(e.outQueue, wire)
+		e.outQueue.Push(wire)
 		e.drainOutQueue(now)
 		e.scheduleTimeout(now, wire.ID, 1, false)
 		return nil
@@ -342,7 +341,7 @@ func (e *Engine) compress(data []byte) (Payload, core.Decision) {
 	if obs, ok := e.Policy.(core.CongestionObserver); ok {
 		// Feed the dynamic-λ extension its local congestion signal: the
 		// depth of this engine's fabric output queue.
-		obs.ObserveCongestion(len(e.outQueue))
+		obs.ObserveCongestion(e.outQueue.Len())
 	}
 	d := e.Policy.Process(data)
 	e.Rec.Payload(data, d)
@@ -355,7 +354,7 @@ func (e *Engine) compress(data []byte) (Payload, core.Decision) {
 // scheduleSend queues the wire message after the compression latency.
 func (e *Engine) scheduleSend(now sim.Time, msg sim.Msg, compressionCycles int) {
 	if compressionCycles <= 0 {
-		e.outQueue = append(e.outQueue, msg)
+		e.outQueue.Push(msg)
 		e.drainOutQueue(now)
 		return
 	}
@@ -492,7 +491,7 @@ func (e *Engine) sendNACK(now sim.Time, dst *sim.Port, rspTo uint64, alg comp.Al
 	n.Bytes = NACKHeaderBytes
 	e.part.AssignMsgID(n)
 	e.NACKsSent++
-	e.outQueue = append(e.outQueue, n)
+	e.outQueue.Push(n)
 	e.drainOutQueue(now)
 }
 
@@ -557,7 +556,7 @@ func (e *Engine) retransmitRead(now sim.Time, id uint64) error {
 	pr.attempts++
 	e.Retries++
 	e.recordRetrySpan(now, "retry:read", pr.wire.Addr, pr.attempts)
-	e.outQueue = append(e.outQueue, pr.wire)
+	e.outQueue.Push(pr.wire)
 	e.drainOutQueue(now)
 	e.scheduleTimeout(now, id, pr.attempts, false)
 	return nil
@@ -574,7 +573,7 @@ func (e *Engine) retransmitWrite(now sim.Time, id uint64, pw *pendingWrite) erro
 	pw.attempts++
 	e.Retries++
 	e.recordRetrySpan(now, "retry:write", pw.wire.Addr, pw.attempts)
-	e.outQueue = append(e.outQueue, pw.wire)
+	e.outQueue.Push(pw.wire)
 	e.drainOutQueue(now)
 	e.scheduleTimeout(now, id, pw.attempts, true)
 	return nil
@@ -639,7 +638,7 @@ func (e *Engine) handleL2Response(now sim.Time, msg sim.Msg) error {
 		out.Bytes = WriteACKHeaderBytes
 		e.part.AssignMsgID(out)
 		e.Rec.Header(WriteACKHeaderBytes)
-		e.outQueue = append(e.outQueue, out)
+		e.outQueue.Push(out)
 		e.drainOutQueue(now)
 		return nil
 	default:

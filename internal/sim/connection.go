@@ -24,53 +24,38 @@ type Connection interface {
 	Partition() *Partition
 }
 
-// deliverEvent delivers a message into its destination port at a scheduled
-// time, used by DirectConnection.
-type deliverEvent struct {
-	EventBase
-	msg Msg
-}
-
-type directDeliverer struct{ c *DirectConnection }
-
-func (d directDeliverer) Handle(e Event) error {
-	evt := e.(deliverEvent)
-	dst := evt.msg.Meta().Dst
-	if !dst.CanAccept(evt.msg.Meta().Bytes) {
-		// Destination full: park the message; resume on NotifyBufferFree.
-		d.c.parked[dst] = append(d.c.parked[dst], evt.msg)
-		return nil
-	}
-	dst.Deliver(d.c.part.Now(), evt.msg)
-	return nil
-}
-
 // DirectConnection is a point-to-multipoint link with a fixed latency and
 // unlimited bandwidth. It models on-die interconnect inside a GPU, which
-// the paper treats as abundant relative to the inter-GPU fabric.
+// the paper treats as abundant relative to the inter-GPU fabric. The fixed
+// latency makes its in-flight messages a delay line.
 type DirectConnection struct {
 	name    string
 	part    *Partition
 	latency Time
-	ports   map[*Port]bool
-	parked  map[*Port][]Msg
+	// ports maps every plugged port to the messages parked for it while
+	// its buffer was full.
+	ports    map[*Port]*FIFO[Msg]
+	inFlight *DelayLine[Msg]
 }
 
 // NewDirectConnection creates a direct connection on partition p with the
 // given one-way latency in cycles, fixed for the connection's lifetime.
 func NewDirectConnection(name string, p *Partition, latency Time) *DirectConnection {
-	return &DirectConnection{
+	c := &DirectConnection{
 		name:    name,
 		part:    p,
 		latency: latency,
-		ports:   make(map[*Port]bool),
-		parked:  make(map[*Port][]Msg),
+		ports:   make(map[*Port]*FIFO[Msg]),
 	}
+	c.inFlight = NewDelayLine(p, c.deliver)
+	return c
 }
 
 // Plug attaches a port.
 func (c *DirectConnection) Plug(p *Port) {
-	c.ports[p] = true
+	if c.ports[p] == nil {
+		c.ports[p] = new(FIFO[Msg])
+	}
 	p.SetConnection(c)
 }
 
@@ -88,32 +73,40 @@ func (c *DirectConnection) Send(now Time, m Msg) bool {
 	if dst == nil {
 		panic(fmt.Sprintf("sim: %s: message %d has no destination", c.name, m.Meta().ID))
 	}
-	if !c.ports[dst] {
+	if c.ports[dst] == nil {
 		panic(fmt.Sprintf("sim: %s: destination port %s is not plugged in", c.name, dst.Name()))
 	}
 	m.Meta().SendTime = now
-	c.part.Schedule(deliverEvent{
-		EventBase: NewEventBase(now+c.latency, directDeliverer{c}),
-		msg:       m,
-	})
+	c.inFlight.Push(now+c.latency, m)
 	return true
 }
 
+// deliver lands a message whose latency has elapsed, parking it when the
+// destination buffer is full (it resumes on NotifyBufferFree).
+func (c *DirectConnection) deliver(now Time, m Msg) error {
+	dst := m.Meta().Dst
+	if !dst.CanAccept(m.Meta().Bytes) {
+		c.ports[dst].Push(m)
+		return nil
+	}
+	dst.Deliver(now, m)
+	return nil
+}
+
 // NotifyBufferFree drains parked messages for the port in FIFO order. The
-// parked map is re-read every iteration because Deliver can re-enter this
+// queue length is re-read every iteration because Deliver can re-enter this
 // method via the receiving component.
 func (c *DirectConnection) NotifyBufferFree(now Time, port *Port) {
-	for {
-		queue := c.parked[port]
-		if len(queue) == 0 {
-			delete(c.parked, port)
-			return
-		}
-		m := queue[0]
+	parked := c.ports[port]
+	if parked == nil {
+		return
+	}
+	for parked.Len() > 0 {
+		m := parked.Front()
 		if !port.CanAccept(m.Meta().Bytes) {
 			return
 		}
-		c.parked[port] = queue[1:]
+		parked.Pop()
 		port.Deliver(now, m)
 	}
 }

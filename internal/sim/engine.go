@@ -667,7 +667,9 @@ func (e *Engine) worker(idx int, last int64) {
 }
 
 // drainRemotes merges the window's cross-partition batches into the
-// destination queues. Only links that actually carried traffic are visited
+// destination queues; RemoteLine payloads move from their source-side
+// outbox into the destination-owned delay line here, and only here. Only
+// links that actually carried traffic are visited
 // (each source partition keeps a dirty-link list), entries arrive already
 // stamped with source-assigned sequence numbers, and the emptied buffers
 // return to the source partition's pool for the next window. Merge order is
@@ -683,8 +685,12 @@ func (e *Engine) drainRemotes() {
 			r.buf = nil
 			e.crossMsgs += uint64(len(buf))
 			for i := range buf {
-				r.dst.enqueueStamped(buf[i].time, buf[i].seq, buf[i].evt)
-				buf[i] = remoteEntry{} // release the Event reference
+				if en := &buf[i]; en.line != nil {
+					en.line.land(en.time, en.seq)
+				} else {
+					r.dst.enqueueStamped(en.time, en.seq, en.evt, nil)
+				}
+				buf[i] = remoteEntry{} // release the Event and line references
 			}
 			p.pool = append(p.pool, buf[:0])
 			p.dirty[di] = nil

@@ -67,13 +67,15 @@ func (p *Partition) nextSeq() uint64 {
 }
 
 // enqueue is the single entry point into the queue: past-check, sequence
-// assignment, accounting, push.
-func (p *Partition) enqueue(t Time, evt Event, h Handler) {
+// assignment, accounting, push. It returns the assigned sequence number.
+func (p *Partition) enqueue(t Time, evt Event, h Handler) uint64 {
 	if t < p.now {
 		panic(fmt.Sprintf("sim: scheduling event at %d before now %d", t, p.now))
 	}
 	p.scheduled++
-	p.queue.push(queuedEvent{time: t, seq: p.nextSeq(), evt: evt, h: h})
+	seq := p.nextSeq()
+	p.queue.push(queuedEvent{time: t, seq: seq, evt: evt, h: h})
+	return seq
 }
 
 // enqueueStamped merges a cross-partition entry whose sequence number was
@@ -81,12 +83,13 @@ func (p *Partition) enqueue(t Time, evt Event, h Handler) {
 // foreign stamps disjoint from local ones, and because the stamp was fixed
 // at emission time, the (time, seq) order — and therefore every run's
 // behaviour — is independent of window placement and merge timing.
-func (p *Partition) enqueueStamped(t Time, seq uint64, evt Event) {
+// Exactly one of evt (a boxed event) and h (a tick handler) is set.
+func (p *Partition) enqueueStamped(t Time, seq uint64, evt Event, h Handler) {
 	if t < p.now {
 		panic(fmt.Sprintf("sim: merging remote event at %d before now %d", t, p.now))
 	}
 	p.scheduled++
-	p.queue.push(queuedEvent{time: t, seq: seq, evt: evt})
+	p.queue.push(queuedEvent{time: t, seq: seq, evt: evt, h: h})
 }
 
 // takeBuf hands out a pooled outbox buffer (or a fresh one) for a link that

@@ -2,11 +2,19 @@ package sim
 
 // remoteEntry is one event parked in a link's outbox until the next window
 // barrier, carrying the sequence number its source partition stamped at
-// emission time.
+// emission time. Exactly one of evt (a boxed event) and line (a RemoteLine
+// whose payload waits in its own outbox) is set.
 type remoteEntry struct {
 	time Time
 	seq  uint64
 	evt  Event
+	line lander
+}
+
+// lander is the barrier-side half of a RemoteLine: it moves the line's
+// oldest posted payload to the destination and merges its tick.
+type lander interface {
+	land(t Time, seq uint64)
 }
 
 // Remote is a scheduling channel between two partitions, created with
@@ -64,14 +72,27 @@ func (r *Remote) SetNextSend(t Time) {
 // never dispatches anything its own traffic might retroactively disturb.
 func (r *Remote) Schedule(evt Event) {
 	t := evt.Time()
-	if min := satAdd(r.src.now, r.latency); t < min {
-		panic("sim: remote event scheduled under the link's latency floor")
-	}
-	src := r.src
-	if src == r.dst || !src.eng.running {
+	r.checkFloor(t)
+	if r.src == r.dst || !r.src.eng.running {
 		r.dst.Schedule(evt)
 		return
 	}
+	r.stage(t, evt, nil)
+}
+
+// checkFloor panics when an emission at t would undercut the link's latency
+// floor.
+func (r *Remote) checkFloor(t Time) {
+	if min := satAdd(r.src.now, r.latency); t < min {
+		panic("sim: remote event scheduled under the link's latency floor")
+	}
+}
+
+// stage parks one cross-partition emission in the link's outbox, stamping
+// it with the source's next sequence number, and collapses a dynamic
+// window's limit when the source runs alone.
+func (r *Remote) stage(t Time, evt Event, line lander) {
+	src := r.src
 	if t < r.nextSend {
 		panic("sim: remote event scheduled under the link's next-send bound")
 	}
@@ -79,7 +100,7 @@ func (r *Remote) Schedule(evt Event) {
 		r.buf = src.takeBuf()
 		src.dirty = append(src.dirty, r)
 	}
-	r.buf = append(r.buf, remoteEntry{time: t, seq: src.nextSeq(), evt: evt})
+	r.buf = append(r.buf, remoteEntry{time: t, seq: src.nextSeq(), evt: evt, line: line})
 	if src.dynamic {
 		if back := satAdd(t, src.eng.dist[r.dst.idx][src.idx]); back < src.curLimit {
 			src.curLimit = back

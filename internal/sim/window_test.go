@@ -264,3 +264,56 @@ func (p *promiseBreaker) Handle(e Event) error {
 	p.out.Schedule(TickEvent{EventBase: NewEventBase(e.Time()+2, p.dst)})
 	return nil
 }
+
+// TestRemoteLatencyFloorViolationPanics: neither a boxed Remote event nor a
+// RemoteLine post may arrive sooner than the link's declared latency.
+func TestRemoteLatencyFloorViolationPanics(t *testing.T) {
+	e := NewEngine(WithPartitions(2))
+	r := e.Link(e.Partition(0), e.Partition(1), 5)
+	line := NewRemoteLine(r, func(Time, int) error { return nil })
+	expectPanic(t, "latency floor", func() {
+		r.Schedule(TickEvent{EventBase: NewEventBase(4, &localChain{})})
+	})
+	expectPanic(t, "latency floor", func() { line.Post(4, 0) })
+}
+
+// TestDelayLineEarlierItemPanics: a delay line's due times never decrease
+// in push order; an item due before its predecessor is a modelling bug.
+func TestDelayLineEarlierItemPanics(t *testing.T) {
+	e := NewEngine()
+	line := NewDelayLine(e.Partition(0), func(Time, int) error { return nil })
+	line.Push(10, 1)
+	line.Push(10, 2) // equal due times are fine
+	expectPanic(t, "earlier than the previous item", func() { line.Push(9, 3) })
+}
+
+// TestRemoteLinePostEarlierItemPanics is the cross-partition form, checked
+// at posting time inside a running window.
+func TestRemoteLinePostEarlierItemPanics(t *testing.T) {
+	e := NewEngine(WithPartitions(2))
+	r := e.Link(e.Partition(0), e.Partition(1), 2)
+	line := NewRemoteLine(r, func(Time, int) error { return nil })
+	e.Partition(0).ScheduleTick(0, handlerFunc(func(ev Event) error {
+		line.Post(ev.Time()+5, 1)
+		line.Post(ev.Time()+4, 2)
+		return nil
+	}))
+	expectPanic(t, "earlier than the previous item", func() { _ = e.Run() })
+}
+
+// expectPanic runs fn and fails unless it panics with a message containing
+// want.
+func expectPanic(t *testing.T, want string, fn func()) {
+	t.Helper()
+	defer func() {
+		t.Helper()
+		rec := recover()
+		if rec == nil {
+			t.Fatalf("expected a panic mentioning %q", want)
+		}
+		if !strings.Contains(fmt.Sprint(rec), want) {
+			t.Fatalf("unexpected panic: %v", rec)
+		}
+	}()
+	fn()
+}
