@@ -79,6 +79,7 @@ type pendingWrite struct {
 type Cache struct {
 	sim.ComponentBase
 	part   *sim.Partition
+	pool   *mem.Pool
 	ticker *sim.Ticker
 	cfg    Config
 	space  *mem.Space
@@ -121,8 +122,9 @@ func (c *Cache) RegisterMetrics(reg *metrics.Registry, prefix string) {
 	reg.CounterFunc(prefix+"/bypassed", func() uint64 { return c.Bypassed })
 }
 
-// New builds a cache bound to the functional space.
-func New(name string, part *sim.Partition, space *mem.Space, cfg Config) *Cache {
+// New builds a cache bound to the functional space, drawing its messages
+// from the partition's envelope pool.
+func New(name string, part *sim.Partition, pool *mem.Pool, space *mem.Space, cfg Config) *Cache {
 	if cfg.LineSize == 0 {
 		cfg.LineSize = mem.LineSize
 	}
@@ -136,6 +138,7 @@ func New(name string, part *sim.Partition, space *mem.Space, cfg Config) *Cache 
 	c := &Cache{
 		ComponentBase: sim.NewComponentBase(name),
 		part:          part,
+		pool:          pool,
 		cfg:           cfg,
 		space:         space,
 		numSets:       numSets,
@@ -273,9 +276,10 @@ func (c *Cache) handleRead(now sim.Time, req *mem.ReadReq) bool {
 	if c.cfg.Cacheable != nil && !c.cfg.Cacheable(req.Addr) {
 		// Forward without allocation (e.g. remote address at L1 → RDMA).
 		dst := c.Router(req.Addr)
-		fwd := mem.NewReadReq(c.Bottom, dst, req.Addr, req.N)
+		fwd := c.pool.NewReadReq(c.Bottom, dst, req.Addr, req.N)
 		c.part.AssignMsgID(fwd)
 		if !c.Bottom.Send(now, fwd) {
+			c.pool.Free(fwd)
 			return false
 		}
 		c.Top.Retrieve(now)
@@ -289,8 +293,9 @@ func (c *Cache) handleRead(now sim.Time, req *mem.ReadReq) bool {
 		c.Hits++
 		c.Top.Retrieve(now)
 		data := c.space.Read(req.Addr, req.N)
-		rsp := mem.NewDataReady(c.Top, req.Src, req.ID, req.Addr, data)
+		rsp := c.pool.NewDataReady(c.Top, req.Src, req.ID, req.Addr, data)
 		c.part.AssignMsgID(rsp)
+		c.pool.Free(req)
 		c.hitRsps.Push(now+c.cfg.HitLatency, rsp)
 		return true
 	}
@@ -307,9 +312,10 @@ func (c *Cache) handleRead(now sim.Time, req *mem.ReadReq) bool {
 		return false // back-pressure
 	}
 	dst := c.Router(la)
-	fetch := mem.NewReadReq(c.Bottom, dst, la, c.cfg.LineSize)
+	fetch := c.pool.NewReadReq(c.Bottom, dst, la, c.cfg.LineSize)
 	c.part.AssignMsgID(fetch)
 	if !c.Bottom.Send(now, fetch) {
+		c.pool.Free(fetch)
 		return false
 	}
 	c.Misses++
@@ -336,9 +342,10 @@ func (c *Cache) handleWrite(now sim.Time, req *mem.WriteReq) bool {
 	// Write-through, no-write-allocate: always forward; keep the tag if
 	// present (the line stays valid because data lives in the space).
 	dst := c.Router(req.Addr)
-	fwd := mem.NewWriteReq(c.Bottom, dst, req.Addr, req.Data)
+	fwd := c.pool.NewWriteReq(c.Bottom, dst, req.Addr, req.Data)
 	c.part.AssignMsgID(fwd)
 	if !c.Bottom.Send(now, fwd) {
+		c.pool.Free(fwd)
 		return false
 	}
 	c.WritesSeen++
@@ -355,13 +362,16 @@ func (c *Cache) processBottom(now sim.Time) bool {
 	switch rsp := msg.(type) {
 	case *mem.DataReady:
 		if orig, ok := c.passthrough[rsp.RspTo]; ok {
-			up := mem.NewDataReady(c.Top, orig.Src, orig.ID, orig.Addr, rsp.Data)
+			up := c.pool.NewDataReady(c.Top, orig.Src, orig.ID, orig.Addr, rsp.Data)
 			c.part.AssignMsgID(up)
 			if !c.Top.Send(now, up) {
+				c.pool.Free(up)
 				return false
 			}
 			c.Bottom.Retrieve(now)
 			delete(c.passthrough, rsp.RspTo)
+			c.pool.Free(orig)
+			c.pool.Free(rsp)
 			return true
 		}
 		entry, ok := c.mshr[rsp.RspTo]
@@ -373,12 +383,14 @@ func (c *Cache) processBottom(now sim.Time) bool {
 		if entry.waiters.Len() > 0 {
 			w := entry.waiters.Front()
 			data := c.space.Read(w.Addr, w.N)
-			up := mem.NewDataReady(c.Top, w.Src, w.ID, w.Addr, data)
+			up := c.pool.NewDataReady(c.Top, w.Src, w.ID, w.Addr, data)
 			c.part.AssignMsgID(up)
 			if !c.Top.Send(now, up) {
+				c.pool.Free(up)
 				return false
 			}
 			entry.waiters.Pop()
+			c.pool.Free(w)
 		}
 		if entry.waiters.Len() > 0 {
 			return true // stay on this fill next iteration
@@ -388,19 +400,23 @@ func (c *Cache) processBottom(now sim.Time) bool {
 		delete(c.mshr, rsp.RspTo)
 		delete(c.mshrLine, entry.lineAddr)
 		c.freeMSHR = append(c.freeMSHR, entry)
+		c.pool.Free(rsp)
 		return true
 	case *mem.WriteACK:
 		pw, ok := c.writes[rsp.RspTo]
 		if !ok {
 			panic(fmt.Sprintf("%s: ack for unknown write %d", c.Name(), rsp.RspTo))
 		}
-		up := mem.NewWriteACK(c.Top, pw.orig.Src, pw.orig.ID, pw.orig.Addr)
+		up := c.pool.NewWriteACK(c.Top, pw.orig.Src, pw.orig.ID, pw.orig.Addr)
 		c.part.AssignMsgID(up)
 		if !c.Top.Send(now, up) {
+			c.pool.Free(up)
 			return false
 		}
 		c.Bottom.Retrieve(now)
 		delete(c.writes, rsp.RspTo)
+		c.pool.Free(pw.orig)
+		c.pool.Free(rsp)
 		return true
 	default:
 		panic(fmt.Sprintf("%s: unexpected bottom message %T", c.Name(), msg))

@@ -52,6 +52,7 @@ func (c *collector) NotifyPortFree(sim.Time, *sim.Port) {}
 
 type bench struct {
 	engine *sim.Engine
+	pool   *mem.Pool
 	space  *mem.Space
 	cache  *Cache
 	dram   *mem.DRAM
@@ -65,8 +66,9 @@ func newBench(t *testing.T, cfg Config) *bench {
 	space := mem.NewSpace(4)
 	dcfg := mem.DefaultDRAMConfig()
 	dcfg.AccessLatency = 100
-	dram := mem.NewDRAM("DRAM", part, space, dcfg)
-	c := New("L1", part, space, cfg)
+	pool := new(mem.Pool)
+	dram := mem.NewDRAM("DRAM", part, pool, space, dcfg)
+	c := New("L1", part, pool, space, cfg)
 	cu := newCollector("CU")
 
 	top := sim.NewDirectConnection("top", part, 1)
@@ -77,25 +79,28 @@ func newBench(t *testing.T, cfg Config) *bench {
 	bottom.Plug(dram.Top)
 	c.Router = func(uint64) *sim.Port { return dram.Top }
 
-	return &bench{engine: engine, space: space, cache: c, dram: dram, cu: cu}
+	return &bench{engine: engine, pool: pool, space: space, cache: c, dram: dram, cu: cu}
 }
 
-func (b *bench) read(t *testing.T, addr uint64, n int) *mem.ReadReq {
+// read sends a read request and returns its message ID. The ID is taken
+// at send time: the cache frees the request when it answers it.
+func (b *bench) read(t *testing.T, addr uint64, n int) uint64 {
 	t.Helper()
-	r := mem.NewReadReq(b.cu.port, b.cache.Top, addr, n)
+	r := b.pool.NewReadReq(b.cu.port, b.cache.Top, addr, n)
 	if !b.cu.port.Send(b.engine.Now(), r) {
 		t.Fatal("send rejected")
 	}
-	return r
+	return r.ID
 }
 
-func (b *bench) write(t *testing.T, addr uint64, data []byte) *mem.WriteReq {
+// write sends a write request and returns its message ID.
+func (b *bench) write(t *testing.T, addr uint64, data []byte) uint64 {
 	t.Helper()
-	w := mem.NewWriteReq(b.cu.port, b.cache.Top, addr, data)
+	w := b.pool.NewWriteReq(b.cu.port, b.cache.Top, addr, data)
 	if !b.cu.port.Send(b.engine.Now(), w) {
 		t.Fatal("send rejected")
 	}
-	return w
+	return w.ID
 }
 
 func TestCacheMissThenHit(t *testing.T) {
@@ -106,14 +111,14 @@ func TestCacheMissThenHit(t *testing.T) {
 	if err := b.engine.Run(); err != nil {
 		t.Fatal(err)
 	}
-	rsp1, ok := b.cu.reads[r1.ID]
+	rsp1, ok := b.cu.reads[r1]
 	if !ok {
 		t.Fatal("no response to first read")
 	}
 	if rsp1.Data[0] != 42 || rsp1.Data[2] != 44 {
 		t.Errorf("data = %v", rsp1.Data[:3])
 	}
-	missTime := b.cu.times[r1.ID]
+	missTime := b.cu.times[r1]
 	if b.cache.Misses != 1 || b.cache.Hits != 0 {
 		t.Errorf("counters hits=%d misses=%d", b.cache.Hits, b.cache.Misses)
 	}
@@ -126,7 +131,7 @@ func TestCacheMissThenHit(t *testing.T) {
 	if b.cache.Hits != 1 {
 		t.Errorf("second access not a hit (hits=%d)", b.cache.Hits)
 	}
-	hitLatency := b.cu.times[r2.ID] - start
+	hitLatency := b.cu.times[r2] - start
 	if missTime < 100 {
 		t.Errorf("miss served in %d cycles, faster than DRAM latency", missTime)
 	}
@@ -143,9 +148,9 @@ func TestCacheCoalescesSameLineMisses(t *testing.T) {
 	if err := b.engine.Run(); err != nil {
 		t.Fatal(err)
 	}
-	for _, r := range []*mem.ReadReq{r1, r2, r3} {
-		if _, ok := b.cu.reads[r.ID]; !ok {
-			t.Fatalf("request %d got no response", r.ID)
+	for _, r := range []uint64{r1, r2, r3} {
+		if _, ok := b.cu.reads[r]; !ok {
+			t.Fatalf("request %d got no response", r)
 		}
 	}
 	if b.cache.Misses != 1 {
@@ -166,7 +171,7 @@ func TestCacheWriteThrough(t *testing.T) {
 	if err := b.engine.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := b.cu.acks[w.ID]; !ok {
+	if _, ok := b.cu.acks[w]; !ok {
 		t.Fatal("write not acknowledged")
 	}
 	if got := b.space.Read(0x3000, 4); !bytes.Equal(got, data) {
@@ -187,14 +192,14 @@ func TestCacheReadAfterWriteSeesData(t *testing.T) {
 	if err := b.engine.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := b.cu.acks[w.ID]; !ok {
+	if _, ok := b.cu.acks[w]; !ok {
 		t.Fatal("no ack")
 	}
 	r := b.read(t, 0x4000, 4)
 	if err := b.engine.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if got := b.cu.reads[r.ID].Data; !bytes.Equal(got, []byte{1, 2, 3, 4}) {
+	if got := b.cu.reads[r].Data; !bytes.Equal(got, []byte{1, 2, 3, 4}) {
 		t.Errorf("read-after-write = %v", got)
 	}
 }
@@ -253,7 +258,7 @@ func TestCacheUncacheableBypass(t *testing.T) {
 	if err := b.engine.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := b.cu.reads[r.ID]; !ok {
+	if _, ok := b.cu.reads[r]; !ok {
 		t.Fatal("no response to bypassed read")
 	}
 	if b.cache.Contains(0x20000) {
@@ -275,8 +280,7 @@ func TestCacheUncacheableBypass(t *testing.T) {
 func TestCacheManyRandomAccessesAllComplete(t *testing.T) {
 	b := newBench(t, L1Config())
 	rng := rand.New(rand.NewSource(5))
-	var reads []*mem.ReadReq
-	var writes []*mem.WriteReq
+	var reads, writes []uint64
 	for i := 0; i < 500; i++ {
 		addr := uint64(rng.Intn(64)) * 64
 		if rng.Intn(3) == 0 {
@@ -296,13 +300,13 @@ func TestCacheManyRandomAccessesAllComplete(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, r := range reads {
-		if _, ok := b.cu.reads[r.ID]; !ok {
-			t.Fatalf("read %d lost", r.ID)
+		if _, ok := b.cu.reads[r]; !ok {
+			t.Fatalf("read %d lost", r)
 		}
 	}
 	for _, w := range writes {
-		if _, ok := b.cu.acks[w.ID]; !ok {
-			t.Fatalf("write %d lost", w.ID)
+		if _, ok := b.cu.acks[w]; !ok {
+			t.Fatalf("write %d lost", w)
 		}
 	}
 	if b.cache.Hits == 0 || b.cache.Misses == 0 {
@@ -314,7 +318,7 @@ func TestCacheMSHRLimitEventuallyDrains(t *testing.T) {
 	cfg := L1Config()
 	cfg.MaxMSHR = 2
 	b := newBench(t, cfg)
-	var reads []*mem.ReadReq
+	var reads []uint64
 	for i := 0; i < 20; i++ {
 		reads = append(reads, b.read(t, uint64(i)*64, 64))
 	}
@@ -322,8 +326,8 @@ func TestCacheMSHRLimitEventuallyDrains(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, r := range reads {
-		if _, ok := b.cu.reads[r.ID]; !ok {
-			t.Fatalf("read %d starved under MSHR pressure", r.ID)
+		if _, ok := b.cu.reads[r]; !ok {
+			t.Fatalf("read %d starved under MSHR pressure", r)
 		}
 	}
 }
@@ -337,9 +341,10 @@ func TestTwoLevelCacheStack(t *testing.T) {
 	space := mem.NewSpace(4)
 	dcfg := mem.DefaultDRAMConfig()
 	dcfg.AccessLatency = 200
-	dram := mem.NewDRAM("DRAM", part, space, dcfg)
-	l2 := New("L2", part, space, L2Config())
-	l1 := New("L1", part, space, L1Config())
+	pool := new(mem.Pool)
+	dram := mem.NewDRAM("DRAM", part, pool, space, dcfg)
+	l2 := New("L2", part, pool, space, L2Config())
+	l1 := New("L1", part, pool, space, L1Config())
 	cu := newCollector("CU")
 
 	top := sim.NewDirectConnection("top", part, 1)
@@ -356,19 +361,20 @@ func TestTwoLevelCacheStack(t *testing.T) {
 
 	space.Write(0x7000, []byte{9, 8, 7})
 
-	send := func(addr uint64) (*mem.ReadReq, sim.Time) {
+	send := func(addr uint64) (uint64, sim.Time) {
 		start := engine.Now()
-		r := mem.NewReadReq(cu.port, l1.Top, addr, 64)
+		r := pool.NewReadReq(cu.port, l1.Top, addr, 64)
 		cu.port.Send(start, r)
+		id := r.ID
 		if err := engine.Run(); err != nil {
 			t.Fatal(err)
 		}
-		return r, cu.times[r.ID] - start
+		return id, cu.times[id] - start
 	}
 
 	// Cold: misses both levels, pays DRAM.
 	r1, coldLat := send(0x7000)
-	if got := cu.reads[r1.ID].Data[0]; got != 9 {
+	if got := cu.reads[r1].Data[0]; got != 9 {
 		t.Fatalf("cold read data = %d", got)
 	}
 	if coldLat < 200 {
@@ -401,19 +407,20 @@ func TestTwoLevelCacheStack(t *testing.T) {
 	}
 
 	// Write through both levels.
-	w := mem.NewWriteReq(cu.port, l1.Top, 0x7000, []byte{42})
+	w := pool.NewWriteReq(cu.port, l1.Top, 0x7000, []byte{42})
 	cu.port.Send(engine.Now(), w)
+	wid := w.ID
 	if err := engine.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := cu.acks[w.ID]; !ok {
+	if _, ok := cu.acks[wid]; !ok {
 		t.Fatal("write not acked through the stack")
 	}
 	if dram.Writes != 1 {
 		t.Errorf("DRAM writes = %d, want 1 (write-through both levels)", dram.Writes)
 	}
 	r4, _ := send(0x7000)
-	if got := cu.reads[r4.ID].Data[0]; got != 42 {
+	if got := cu.reads[r4].Data[0]; got != 42 {
 		t.Errorf("read after write = %d, want 42", got)
 	}
 }

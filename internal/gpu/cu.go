@@ -81,6 +81,7 @@ func (wf *wavefront) splice(cont []Op) {
 type CU struct {
 	sim.ComponentBase
 	part   *sim.Partition
+	pool   *mem.Pool
 	ticker *sim.Ticker
 	cfg    CUConfig
 
@@ -121,8 +122,9 @@ func (c *CU) RegisterMetrics(reg *metrics.Registry, prefix string) {
 	reg.CounterFunc(prefix+"/compute_cycles", func() uint64 { return c.ComputeCycles })
 }
 
-// NewCU builds a compute unit.
-func NewCU(name string, part *sim.Partition, cfg CUConfig) *CU {
+// NewCU builds a compute unit that draws its requests from the
+// partition's envelope pool.
+func NewCU(name string, part *sim.Partition, pool *mem.Pool, cfg CUConfig) *CU {
 	if cfg.IssueWidth <= 0 {
 		cfg.IssueWidth = 1
 	}
@@ -132,6 +134,7 @@ func NewCU(name string, part *sim.Partition, cfg CUConfig) *CU {
 	c := &CU{
 		ComponentBase: sim.NewComponentBase(name),
 		part:          part,
+		pool:          pool,
 		cfg:           cfg,
 		pendingReads:  make(map[uint64]*wavefront),
 		pendingWrites: make(map[uint64]*wgInstance),
@@ -206,6 +209,7 @@ func (c *CU) drainResponses(now sim.Time) {
 			if op.Then != nil {
 				wf.splice(op.Then(rsp.Data))
 			}
+			c.pool.Free(rsp)
 		case *mem.WriteACK:
 			wg, ok := c.pendingWrites[rsp.RspTo]
 			if !ok {
@@ -213,6 +217,7 @@ func (c *CU) drainResponses(now sim.Time) {
 			}
 			delete(c.pendingWrites, rsp.RspTo)
 			wg.pendingWrites--
+			c.pool.Free(rsp)
 		default:
 			panic(fmt.Sprintf("%s: unexpected response %T", c.Name(), msg))
 		}
@@ -304,9 +309,10 @@ func (c *CU) step(now sim.Time, wf *wavefront) bool {
 		}
 		return true
 	case ReadOp:
-		req := mem.NewReadReq(c.ToL1, c.l1Top(), op.Addr, op.N)
+		req := c.pool.NewReadReq(c.ToL1, c.l1Top(), op.Addr, op.N)
 		c.part.AssignMsgID(req)
 		if !c.ToL1.Send(now, req) {
+			c.pool.Free(req)
 			return false
 		}
 		c.MemReadsIssued++
@@ -314,9 +320,10 @@ func (c *CU) step(now sim.Time, wf *wavefront) bool {
 		wf.waiting = true // op popped when the data returns
 		return true
 	case WriteOp:
-		req := mem.NewWriteReq(c.ToL1, c.l1Top(), op.Addr, op.Data)
+		req := c.pool.NewWriteReq(c.ToL1, c.l1Top(), op.Addr, op.Data)
 		c.part.AssignMsgID(req)
 		if !c.ToL1.Send(now, req) {
+			c.pool.Free(req)
 			return false
 		}
 		c.MemWritesIssued++

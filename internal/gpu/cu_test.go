@@ -10,10 +10,12 @@ import (
 
 // memStub is a single-component memory that answers every request after a
 // fixed latency, standing in for the whole cache hierarchy in CU unit
-// tests.
+// tests. Like a real memory it frees each request once it has answered
+// it.
 type memStub struct {
 	sim.ComponentBase
 	part    *sim.Partition
+	pool    *mem.Pool
 	space   *mem.Space
 	latency sim.Time
 	Top     *sim.Port
@@ -21,10 +23,11 @@ type memStub struct {
 	writes  int
 }
 
-func newMemStub(part *sim.Partition, latency sim.Time) *memStub {
+func newMemStub(part *sim.Partition, pool *mem.Pool, latency sim.Time) *memStub {
 	s := &memStub{
 		ComponentBase: sim.NewComponentBase("memstub"),
 		part:          part,
+		pool:          pool,
 		space:         mem.NewSpace(1),
 		latency:       latency,
 	}
@@ -55,12 +58,13 @@ func (s *memStub) NotifyRecv(now sim.Time, p *sim.Port) {
 		switch req := m.(type) {
 		case *mem.ReadReq:
 			s.reads++
-			rsp = mem.NewDataReady(s.Top, req.Src, req.ID, req.Addr, s.space.Read(req.Addr, req.N))
+			rsp = s.pool.NewDataReady(s.Top, req.Src, req.ID, req.Addr, s.space.Read(req.Addr, req.N))
 		case *mem.WriteReq:
 			s.writes++
 			s.space.Write(req.Addr, req.Data)
-			rsp = mem.NewWriteACK(s.Top, req.Src, req.ID, req.Addr)
+			rsp = s.pool.NewWriteACK(s.Top, req.Src, req.ID, req.Addr)
 		}
+		s.pool.Free(m)
 		s.part.AssignMsgID(rsp)
 		s.part.Schedule(stubRspEvent{
 			EventBase: sim.NewEventBase(now+s.latency, s),
@@ -75,8 +79,9 @@ func cuBench(t *testing.T, cfg CUConfig) (*sim.Engine, *CU, *memStub) {
 	t.Helper()
 	engine := sim.NewEngine()
 	part := engine.Partition(0)
-	cu := NewCU("CU", part, cfg)
-	stub := newMemStub(part, 50)
+	pool := new(mem.Pool)
+	cu := NewCU("CU", part, pool, cfg)
+	stub := newMemStub(part, pool, 50)
 	conn := sim.NewDirectConnection("conn", part, 1)
 	conn.Plug(cu.ToL1)
 	conn.Plug(stub.Top)

@@ -136,6 +136,7 @@ func (cp *CommandProcessor) signalDone(now sim.Time) {
 type Driver struct {
 	sim.ComponentBase
 	part  *sim.Partition
+	pool  *mem.Pool
 	space *mem.Space
 
 	// Ctrl is the driver's bus endpoint for launch/done control traffic.
@@ -177,11 +178,13 @@ func (d *Driver) RegisterMetrics(reg *metrics.Registry, prefix string) {
 	reg.CounterFunc(prefix+"/arg_bytes_written", func() uint64 { return d.ArgBytesWritten })
 }
 
-// NewDriver builds the host driver.
-func NewDriver(name string, part *sim.Partition, space *mem.Space) *Driver {
+// NewDriver builds the host driver; its argument writes come from the
+// host partition's envelope pool.
+func NewDriver(name string, part *sim.Partition, pool *mem.Pool, space *mem.Space) *Driver {
 	d := &Driver{
 		ComponentBase: sim.NewComponentBase(name),
 		part:          part,
+		pool:          pool,
 		space:         space,
 	}
 	d.Ctrl = sim.NewPort(d, name+".Ctrl", 4*1024)
@@ -206,6 +209,7 @@ func (d *Driver) NotifyRecv(now sim.Time, p *sim.Port) {
 		}
 		switch rsp := msg.(type) {
 		case *mem.WriteACK:
+			d.pool.Free(rsp)
 			d.pendingAcks--
 			if d.pendingAcks == 0 {
 				d.broadcastLaunch(now)
@@ -309,7 +313,7 @@ func (d *Driver) writeArgs(now sim.Time, k *Kernel) {
 		}
 		for off := 0; off < len(padded); off += mem.LineSize {
 			addr := buf.Addr(uint64(off))
-			w := mem.NewWriteReq(d.ToRDMA, d.RDMAPort, addr, padded[off:off+mem.LineSize])
+			w := d.pool.NewWriteReq(d.ToRDMA, d.RDMAPort, addr, padded[off:off+mem.LineSize])
 			d.part.AssignMsgID(w)
 			if !d.ToRDMA.Send(now, w) {
 				panic("gpu: driver RDMA rejected arg write")

@@ -11,7 +11,8 @@ func TestDriverRejectsInvalidKernels(t *testing.T) {
 	engine := sim.NewEngine()
 	part := engine.Partition(0)
 	space := mem.NewSpace(4)
-	d := NewDriver("Driver", part, space)
+	pool := new(mem.Pool)
+	d := NewDriver("Driver", part, pool, space)
 
 	if err := d.Launch(&Kernel{Name: "k", NumWorkgroups: 0,
 		Program: func(int) [][]Op { return nil }}); err == nil {
@@ -26,7 +27,8 @@ func TestDriverNoCUs(t *testing.T) {
 	engine := sim.NewEngine()
 	part := engine.Partition(0)
 	space := mem.NewSpace(4)
-	d := NewDriver("Driver", part, space)
+	pool := new(mem.Pool)
+	d := NewDriver("Driver", part, pool, space)
 	// A CP with no CUs attached.
 	cp := NewCommandProcessor("CP", part, 0)
 	d.CPPorts = []*sim.Port{cp.ToFabric}
@@ -61,16 +63,17 @@ func TestDriverLaunchFlow(t *testing.T) {
 	engine := sim.NewEngine()
 	part := engine.Partition(0)
 	space := mem.NewSpace(4)
-	d := NewDriver("Driver", part, space)
+	pool := new(mem.Pool)
+	d := NewDriver("Driver", part, pool, space)
 
-	stub := newMemStub(part, 10)
+	stub := newMemStub(part, pool, 10)
 	memConn := sim.NewDirectConnection("cumem", part, 1)
 	memConn.Plug(stub.Top)
 	var cps []*CommandProcessor
 	for g := 0; g < 2; g++ {
 		cp := NewCommandProcessor("CP", part, g)
 		for i := 0; i < 2; i++ {
-			cu := NewCU("CU", part, DefaultCUConfig())
+			cu := NewCU("CU", part, pool, DefaultCUConfig())
 			memConn.Plug(cu.ToL1)
 			cu.SetL1(stub.Top)
 			cp.CUs = append(cp.CUs, cu)
@@ -138,16 +141,17 @@ func TestDriverArgWrites(t *testing.T) {
 	engine := sim.NewEngine()
 	part := engine.Partition(0)
 	space := mem.NewSpace(4)
-	d := NewDriver("Driver", part, space)
+	pool := new(mem.Pool)
+	d := NewDriver("Driver", part, pool, space)
 
-	stub := newMemStub(part, 5) // stands in for the host RDMA path
+	stub := newMemStub(part, pool, 5) // stands in for the host RDMA path
 	memConn := sim.NewDirectConnection("mem", part, 1)
 	memConn.Plug(stub.Top)
 	memConn.Plug(d.ToRDMA)
 	d.RDMAPort = stub.Top
 
 	cp := NewCommandProcessor("CP", part, 0)
-	cu := NewCU("CU", part, DefaultCUConfig())
+	cu := NewCU("CU", part, pool, DefaultCUConfig())
 	memConn.Plug(cu.ToL1)
 	cu.SetL1(stub.Top)
 	cp.CUs = []*CU{cu}

@@ -36,6 +36,7 @@ func DefaultDRAMConfig() DRAMConfig {
 type DRAM struct {
 	sim.ComponentBase
 	part   *sim.Partition
+	pool   *Pool
 	ticker *sim.Ticker
 	cfg    DRAMConfig
 	space  *Space
@@ -61,11 +62,13 @@ func (d *DRAM) RegisterMetrics(reg *metrics.Registry, prefix string) {
 	reg.CounterFunc(prefix+"/writes", func() uint64 { return d.Writes })
 }
 
-// NewDRAM builds a channel controller bound to space.
-func NewDRAM(name string, part *sim.Partition, space *Space, cfg DRAMConfig) *DRAM {
+// NewDRAM builds a channel controller bound to space, drawing its
+// responses from the partition's envelope pool.
+func NewDRAM(name string, part *sim.Partition, pool *Pool, space *Space, cfg DRAMConfig) *DRAM {
 	d := &DRAM{
 		ComponentBase: sim.NewComponentBase(name),
 		part:          part,
+		pool:          pool,
 		cfg:           cfg,
 		space:         space,
 	}
@@ -128,14 +131,16 @@ func (d *DRAM) complete(now sim.Time, msg sim.Msg) error {
 	case *ReadReq:
 		d.Reads++
 		data := d.space.Read(req.Addr, req.N)
-		rsp := NewDataReady(d.Top, req.Src, req.ID, req.Addr, data)
+		rsp := d.pool.NewDataReady(d.Top, req.Src, req.ID, req.Addr, data)
+		d.pool.Free(req)
 		if !d.Top.Send(now, rsp) {
 			return fmt.Errorf("%s: response rejected by connection", d.Name())
 		}
 	case *WriteReq:
 		d.Writes++
 		d.space.Write(req.Addr, req.Data)
-		ack := NewWriteACK(d.Top, req.Src, req.ID, req.Addr)
+		ack := d.pool.NewWriteACK(d.Top, req.Src, req.ID, req.Addr)
+		d.pool.Free(req)
 		if !d.Top.Send(now, ack) {
 			return fmt.Errorf("%s: ack rejected by connection", d.Name())
 		}

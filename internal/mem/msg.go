@@ -24,6 +24,7 @@ const (
 // ReadReq asks for n bytes at Addr.
 type ReadReq struct {
 	sim.MsgMeta
+	envelope
 	Addr uint64
 	N    int
 }
@@ -31,16 +32,10 @@ type ReadReq struct {
 // Meta implements sim.Msg.
 func (m *ReadReq) Meta() *sim.MsgMeta { return &m.MsgMeta }
 
-// NewReadReq builds a read request with correct wire size.
-func NewReadReq(src, dst *sim.Port, addr uint64, n int) *ReadReq {
-	r := &ReadReq{Addr: addr, N: n}
-	r.Src, r.Dst, r.Bytes = src, dst, ReadReqHeaderBytes
-	return r
-}
-
 // WriteReq carries Data to be stored at Addr.
 type WriteReq struct {
 	sim.MsgMeta
+	envelope
 	Addr uint64
 	Data []byte
 }
@@ -48,18 +43,10 @@ type WriteReq struct {
 // Meta implements sim.Msg.
 func (m *WriteReq) Meta() *sim.MsgMeta { return &m.MsgMeta }
 
-// NewWriteReq builds a write request with correct wire size (header plus
-// uncompressed payload; the RDMA layer replaces the payload size when it
-// compresses).
-func NewWriteReq(src, dst *sim.Port, addr uint64, data []byte) *WriteReq {
-	w := &WriteReq{Addr: addr, Data: data}
-	w.Src, w.Dst, w.Bytes = src, dst, WriteReqHeaderBytes+len(data)
-	return w
-}
-
 // DataReady answers a ReadReq with the requested bytes.
 type DataReady struct {
 	sim.MsgMeta
+	envelope
 	RspTo uint64 // ID of the ReadReq
 	Addr  uint64
 	Data  []byte
@@ -68,26 +55,13 @@ type DataReady struct {
 // Meta implements sim.Msg.
 func (m *DataReady) Meta() *sim.MsgMeta { return &m.MsgMeta }
 
-// NewDataReady builds a read response.
-func NewDataReady(src, dst *sim.Port, rspTo uint64, addr uint64, data []byte) *DataReady {
-	d := &DataReady{RspTo: rspTo, Addr: addr, Data: data}
-	d.Src, d.Dst, d.Bytes = src, dst, DataReadyHeaderBytes+len(data)
-	return d
-}
-
 // WriteACK acknowledges a WriteReq.
 type WriteACK struct {
 	sim.MsgMeta
+	envelope
 	RspTo uint64
 	Addr  uint64
 }
 
 // Meta implements sim.Msg.
 func (m *WriteACK) Meta() *sim.MsgMeta { return &m.MsgMeta }
-
-// NewWriteACK builds a write acknowledgment.
-func NewWriteACK(src, dst *sim.Port, rspTo uint64, addr uint64) *WriteACK {
-	a := &WriteACK{RspTo: rspTo, Addr: addr}
-	a.Src, a.Dst, a.Bytes = src, dst, WriteACKHeaderBytes
-	return a
-}

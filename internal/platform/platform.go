@@ -128,6 +128,8 @@ type Device struct {
 	DRAMs []*mem.DRAM
 	RDMA  *rdma.Engine
 	CP    *gpu.CommandProcessor
+	// Pool recycles the memory-message envelopes of the GPU's partition.
+	Pool *mem.Pool
 	// RemoteCache is the optional L1.5 for remote data (nil when the
 	// platform reproduces the paper's configuration).
 	RemoteCache *cache.Cache
@@ -154,6 +156,9 @@ type Platform struct {
 	Bus      fabric.Fabric
 	Driver   *gpu.Driver
 	HostRDMA *rdma.Engine
+	// HostPool recycles the memory-message envelopes of the hub partition
+	// (the driver's argument writes and their acknowledgments).
+	HostPool *mem.Pool
 	GPUs     []*Device
 	// Metrics is the registry holding every component's counters; it is
 	// never nil after New.
@@ -364,12 +369,13 @@ func Build(cfg Config) (*Platform, Partitions) {
 		p.Parts.GPUs = append(p.Parts.GPUs, p.Engine.Partition(g))
 	}
 	p.Parts.Hub = p.Engine.Partition(cfg.NumGPUs)
+	p.HostPool = new(mem.Pool)
 	p.Space = mem.NewSpace(cfg.NumGPUs)
 	p.Bus = fabric.New("Fabric", p.Parts.Hub, cfg.Fabric)
 	if injector != nil {
 		injector.RegisterMetrics(p.Metrics, "fault")
 	}
-	p.Driver = gpu.NewDriver("Driver", p.Parts.Hub, p.Space)
+	p.Driver = gpu.NewDriver("Driver", p.Parts.Hub, p.HostPool, p.Space)
 	p.Driver.Spans = cfg.Spans
 
 	p.Engine.RegisterMetrics(p.Metrics, "sim")
@@ -386,7 +392,7 @@ func Build(cfg Config) (*Platform, Partitions) {
 	}
 
 	// Host RDMA: carries the driver's kernel-argument writes.
-	p.HostRDMA = rdma.New("Host.RDMA", p.Parts.Hub, cfg.NumGPUs,
+	p.HostRDMA = rdma.New("Host.RDMA", p.Parts.Hub, p.HostPool, cfg.NumGPUs,
 		policy(cfg.NumGPUs), cfg.NewRecorder(cfg.NumGPUs))
 	p.HostRDMA.OwnerOf = p.Space.GPUOf
 	p.HostRDMA.L2Router = func(addr uint64) *sim.Port {
@@ -450,9 +456,9 @@ func (p *Platform) buildGPU(g int, policy core.Policy) *Device {
 	name := fmt.Sprintf("GPU%d", g)
 	// mpfx is the GPU's metric-path prefix ("gpu0", "gpu1", ...).
 	mpfx := fmt.Sprintf("gpu%d", g)
-	dev := &Device{Index: g}
+	dev := &Device{Index: g, Pool: new(mem.Pool)}
 
-	dev.RDMA = rdma.New(name+".RDMA", part, g, policy, cfg.NewRecorder(g))
+	dev.RDMA = rdma.New(name+".RDMA", part, dev.Pool, g, policy, cfg.NewRecorder(g))
 	dev.RDMA.OwnerOf = p.Space.GPUOf
 	dev.RDMA.RegisterMetrics(p.Metrics, mpfx+"/rdma")
 	p.enableGuard(dev.RDMA, mpfx+"/rdma")
@@ -460,10 +466,10 @@ func (p *Platform) buildGPU(g int, policy core.Policy) *Device {
 	// DRAM channels and L2 banks.
 	dramConn := sim.NewDirectConnection(name+".dram", part, 2)
 	for ch := 0; ch < cfg.L2Banks; ch++ {
-		d := mem.NewDRAM(fmt.Sprintf("%s.DRAM%d", name, ch), part, p.Space, cfg.DRAM)
+		d := mem.NewDRAM(fmt.Sprintf("%s.DRAM%d", name, ch), part, dev.Pool, p.Space, cfg.DRAM)
 		d.RegisterMetrics(p.Metrics, fmt.Sprintf("%s/dram_%d", mpfx, ch))
 		dev.DRAMs = append(dev.DRAMs, d)
-		l2 := cache.New(fmt.Sprintf("%s.L2_%d", name, ch), part, p.Space, cfg.L2)
+		l2 := cache.New(fmt.Sprintf("%s.L2_%d", name, ch), part, dev.Pool, p.Space, cfg.L2)
 		l2.RegisterMetrics(p.Metrics, fmt.Sprintf("%s/l2_%d", mpfx, ch))
 		dev.L2s = append(dev.L2s, l2)
 		dramConn.Plug(l2.Bottom)
@@ -491,7 +497,7 @@ func (p *Platform) buildGPU(g int, policy core.Policy) *Device {
 	if cfg.RemoteCache != nil {
 		rcCfg := *cfg.RemoteCache
 		rcCfg.Cacheable = func(addr uint64) bool { return p.Space.GPUOf(addr) != g }
-		rc := cache.New(name+".L1_5", part, p.Space, rcCfg)
+		rc := cache.New(name+".L1_5", part, dev.Pool, p.Space, rcCfg)
 		// Metric path "l15", not "l1_5": keeps the remote cache out of the
 		// "l1_*" glob that aggregates the per-CU L1s.
 		rc.RegisterMetrics(p.Metrics, mpfx+"/l15")
@@ -507,7 +513,7 @@ func (p *Platform) buildGPU(g int, policy core.Policy) *Device {
 	l1cfg := cfg.L1
 	l1cfg.Cacheable = func(addr uint64) bool { return p.Space.GPUOf(addr) == g }
 	for i := 0; i < cfg.CUsPerGPU; i++ {
-		l1 := cache.New(fmt.Sprintf("%s.L1_%d", name, i), part, p.Space, l1cfg)
+		l1 := cache.New(fmt.Sprintf("%s.L1_%d", name, i), part, dev.Pool, p.Space, l1cfg)
 		l1.RegisterMetrics(p.Metrics, fmt.Sprintf("%s/l1_%d", mpfx, i))
 		l1.Router = func(addr uint64) *sim.Port {
 			if p.Space.GPUOf(addr) == g {
@@ -516,7 +522,7 @@ func (p *Platform) buildGPU(g int, policy core.Policy) *Device {
 			return remotePort
 		}
 		xbar.Plug(l1.Bottom)
-		cu := gpu.NewCU(fmt.Sprintf("%s.CU%d", name, i), part, cfg.CU)
+		cu := gpu.NewCU(fmt.Sprintf("%s.CU%d", name, i), part, dev.Pool, cfg.CU)
 		cu.RegisterMetrics(p.Metrics, fmt.Sprintf("%s/cu_%d", mpfx, i))
 		cuConn.Plug(cu.ToL1)
 		cuConn.Plug(l1.Top)

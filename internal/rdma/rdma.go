@@ -54,6 +54,7 @@ func (NopRecorder) Header(int) {}
 type Engine struct {
 	sim.ComponentBase
 	part   *sim.Partition
+	pool   *mem.Pool
 	ticker *sim.Ticker
 
 	GPU    int
@@ -89,12 +90,16 @@ type Engine struct {
 	// upstream of it and is drained strictly in order.
 	outQueue sim.FIFO[sim.Msg]
 
-	// request tracking
-	pendingReads  map[uint64]*pendingRead  // wire ReadReq ID -> original local request
-	pendingWrites map[uint64]*pendingWrite // wire WriteReq ID -> original
-	// incoming remote requests forwarded into local L2
-	serviceReads  map[uint64]*ReadReq  // local L2 ReadReq ID -> wire request
-	serviceWrites map[uint64]*WriteReq // local L2 WriteReq ID -> wire request
+	// Transaction tracking. Outgoing requests await their wire response;
+	// incoming remote requests forwarded into local L2 await the L2's.
+	pendingReads  map[uint64]*txn // wire ReadReq ID -> remote read
+	pendingWrites map[uint64]*txn // wire WriteReq ID -> remote write
+	serviceReads  map[uint64]*txn // local L2 ReadReq ID -> served read
+	serviceWrites map[uint64]*txn // local L2 WriteReq ID -> served write
+	// freeTxns recycles completed transaction records; live counts the
+	// records handed out and not yet recycled.
+	freeTxns []*txn
+	live     int
 
 	// Stats
 	ReadsSent    uint64
@@ -125,17 +130,48 @@ type GuardConfig struct {
 	MaxAttempts int
 }
 
-type pendingRead struct {
-	req      *mem.ReadReq
-	issued   sim.Time
-	wire     *ReadReq
-	attempts int
+// txnKind names the four transactions an engine takes part in.
+type txnKind uint8
+
+const (
+	remoteRead  txnKind = iota // a local L1 read of remote memory
+	remoteWrite                // a local L1 write to remote memory
+	servedRead                 // a remote GPU's read of local memory
+	servedWrite                // a remote GPU's write to local memory
+)
+
+// txn is the whole state of one transaction, recycled through the
+// engine's free list. It is also the sim.Handler of the transaction's one
+// codec-latency tick: compression before a remote write or a served read's
+// response leaves, decompression before a remote read's data or a served
+// write's payload is forwarded. A record returns to the free list only
+// when its transaction is complete and no tick is pending on it.
+type txn struct {
+	e    *Engine
+	kind txnKind
+
+	// readReq/writeReq is the L1's request (remote reads and writes).
+	readReq  *mem.ReadReq
+	writeReq *mem.WriteReq
+	// wireRead/wireWrite is the wire request: sent by this engine for
+	// remote transactions, received by it for served ones.
+	wireRead  *ReadReq
+	wireWrite *WriteReq
+	// rsp is a remote read's wire response, decoded by the tick; out is a
+	// served read's wire response, sent by the tick.
+	rsp *DataReady
+	out *DataReady
+
+	issued   sim.Time // when a remote read left this engine
+	attempts int      // transmissions of a remote request so far
+	ticking  bool     // a codec-latency tick is pending
+	done     bool     // the transaction has completed
 }
 
-type pendingWrite struct {
-	req      *mem.WriteReq
-	wire     *WriteReq
-	attempts int
+// Handle implements sim.Handler: the codec latency has elapsed.
+func (t *txn) Handle(ev sim.Event) error {
+	t.ticking = false
+	return t.e.codecDone(ev.Time(), t)
 }
 
 // RegisterMetrics exposes the engine's counters under prefix (e.g.
@@ -170,21 +206,23 @@ func (e *Engine) RegisterGuardMetrics(reg *metrics.Registry, prefix string) {
 	reg.CounterFunc(prefix+"/timeouts", func() uint64 { return e.TimeoutsFired })
 }
 
-// New creates an RDMA engine for the given GPU index.
-func New(name string, part *sim.Partition, gpu int, policy core.Policy, rec Recorder) *Engine {
+// New creates an RDMA engine for the given GPU index. Its local-side
+// messages come from the partition's envelope pool.
+func New(name string, part *sim.Partition, pool *mem.Pool, gpu int, policy core.Policy, rec Recorder) *Engine {
 	if rec == nil {
 		rec = NopRecorder{}
 	}
 	e := &Engine{
 		ComponentBase: sim.NewComponentBase(name),
 		part:          part,
+		pool:          pool,
 		GPU:           gpu,
 		Policy:        policy,
 		Rec:           rec,
-		pendingReads:  make(map[uint64]*pendingRead),
-		pendingWrites: make(map[uint64]*pendingWrite),
-		serviceReads:  make(map[uint64]*ReadReq),
-		serviceWrites: make(map[uint64]*WriteReq),
+		pendingReads:  make(map[uint64]*txn),
+		pendingWrites: make(map[uint64]*txn),
+		serviceReads:  make(map[uint64]*txn),
+		serviceWrites: make(map[uint64]*txn),
 	}
 	e.ToL1 = sim.NewPort(e, name+".ToL1", 8*1024)
 	e.ToFabric = sim.NewPort(e, name+".ToFabric", 4*1024) // paper: 4 KB input buffer
@@ -198,19 +236,6 @@ func (e *Engine) NotifyRecv(now sim.Time, _ *sim.Port) { e.ticker.TickNow(now) }
 
 // NotifyPortFree implements sim.Component.
 func (e *Engine) NotifyPortFree(now sim.Time, _ *sim.Port) { e.ticker.TickNow(now) }
-
-// delayedSendEvent enqueues a wire message for the fabric after the
-// compression latency has elapsed.
-type delayedSendEvent struct {
-	sim.EventBase
-	msg sim.Msg
-}
-
-// delayedDeliverEvent finishes decompression of an incoming payload.
-type delayedDeliverEvent struct {
-	sim.EventBase
-	deliver func(now sim.Time) error
-}
 
 // retryTimeoutEvent fires when a guarded request has waited long enough for
 // its response. The attempt number pins the event to one transmission: a
@@ -228,12 +253,6 @@ func (e *Engine) Handle(ev sim.Event) error {
 	switch evt := ev.(type) {
 	case *sim.TickEvent:
 		return e.tick(ev.Time())
-	case delayedSendEvent:
-		e.outQueue.Push(evt.msg)
-		e.drainOutQueue(ev.Time())
-		return nil
-	case delayedDeliverEvent:
-		return evt.deliver(ev.Time())
 	case retryTimeoutEvent:
 		return e.handleTimeout(ev.Time(), evt)
 	default:
@@ -292,7 +311,9 @@ func (e *Engine) handleLocal(now sim.Time, msg sim.Msg) error {
 		wire.Src, wire.Dst = e.ToFabric, e.RemotePort(owner)
 		wire.Bytes = ReadReqHeaderBytes
 		e.part.AssignMsgID(wire)
-		e.pendingReads[wire.ID] = &pendingRead{req: req, issued: now, wire: wire, attempts: 1}
+		t := e.newTxn(remoteRead)
+		t.readReq, t.wireRead, t.issued, t.attempts = req, wire, now, 1
+		e.pendingReads[wire.ID] = t
 		e.ReadsSent++
 		e.Rec.RemoteRead(e.GPU)
 		e.Rec.Header(ReadReqHeaderBytes)
@@ -311,11 +332,15 @@ func (e *Engine) handleLocal(now sim.Time, msg sim.Msg) error {
 			wire.Bytes += CRCTrailerBytes
 		}
 		e.part.AssignMsgID(wire)
-		e.pendingWrites[wire.ID] = &pendingWrite{req: req, wire: wire, attempts: 1}
+		t := e.newTxn(remoteWrite)
+		t.writeReq, t.wireWrite, t.attempts = req, wire, 1
+		e.pendingWrites[wire.ID] = t
 		e.WritesSent++
 		e.Rec.RemoteWrite(e.GPU)
 		e.Rec.Header(WriteReqHeaderBytes)
-		e.scheduleSend(now, wire, d.CompressionCycles)
+		if err := e.afterCodec(now, t, d.CompressionCycles); err != nil {
+			return err
+		}
 		e.scheduleTimeout(now, wire.ID, 1, true)
 		return nil
 	default:
@@ -351,28 +376,17 @@ func (e *Engine) compress(data []byte) (Payload, core.Decision) {
 	return Payload{Alg: d.Alg, Enc: d.Enc, RawLen: len(data)}, d
 }
 
-// scheduleSend queues the wire message after the compression latency.
-func (e *Engine) scheduleSend(now sim.Time, msg sim.Msg, compressionCycles int) {
-	if compressionCycles <= 0 {
-		e.outQueue.Push(msg)
-		e.drainOutQueue(now)
-		return
-	}
-	e.part.Schedule(delayedSendEvent{
-		EventBase: sim.NewEventBase(now+sim.Time(compressionCycles), e),
-		msg:       msg,
-	})
-}
-
 // handleWire processes a message arriving from the fabric.
 func (e *Engine) handleWire(now sim.Time, msg sim.Msg) error {
 	switch wire := msg.(type) {
 	case *ReadReq:
 		// A remote GPU wants our data: forward into the local L2.
 		e.ReadsServed++
-		local := mem.NewReadReq(e.ToL2, e.L2Router(wire.Addr), wire.Addr, wire.N)
+		local := e.pool.NewReadReq(e.ToL2, e.L2Router(wire.Addr), wire.Addr, wire.N)
 		e.part.AssignMsgID(local)
-		e.serviceReads[local.ID] = wire
+		t := e.newTxn(servedRead)
+		t.wireRead = wire
+		e.serviceReads[local.ID] = t
 		if !e.ToL2.Send(now, local) {
 			return fmt.Errorf("%s: L2 rejected forwarded read", e.Name())
 		}
@@ -388,24 +402,12 @@ func (e *Engine) handleWire(now sim.Time, msg sim.Msg) error {
 		}
 		// Decompress (if needed), then forward the write into local L2.
 		e.WritesServed++
-		latency := decompressionCycles(wire.Payload.Alg)
-		deliver := func(now sim.Time) error {
-			data, err := wire.Payload.Decode()
-			if err != nil {
-				return fmt.Errorf("%s: write payload: %w", e.Name(), err)
-			}
-			local := mem.NewWriteReq(e.ToL2, e.L2Router(wire.Addr), wire.Addr, data)
-			e.part.AssignMsgID(local)
-			e.serviceWrites[local.ID] = wire
-			if !e.ToL2.Send(now, local) {
-				return fmt.Errorf("%s: L2 rejected forwarded write", e.Name())
-			}
-			return nil
-		}
-		return e.afterDecompression(now, latency, deliver)
+		t := e.newTxn(servedWrite)
+		t.wireWrite = wire
+		return e.afterCodec(now, t, decompressionCycles(wire.Payload.Alg))
 	case *DataReady:
 		// Response to one of our outgoing reads.
-		pr, ok := e.pendingReads[wire.RspTo]
+		t, ok := e.pendingReads[wire.RspTo]
 		if !ok {
 			if e.Guard != nil {
 				// Duplicate response: a timeout retransmitted the request
@@ -423,25 +425,11 @@ func (e *Engine) handleWire(now sim.Time, msg sim.Msg) error {
 			e.sendNACK(now, wire.Meta().Src, wire.RspTo, wire.Payload.Alg)
 			return e.retransmitRead(now, wire.RspTo)
 		}
-		orig := pr.req
 		delete(e.pendingReads, wire.RspTo)
-		latency := decompressionCycles(wire.Payload.Alg)
-		deliver := func(now sim.Time) error {
-			data, err := wire.Payload.Decode()
-			if err != nil {
-				return fmt.Errorf("%s: read payload: %w", e.Name(), err)
-			}
-			e.ReadLatency.Add(float64(now - pr.issued))
-			rsp := mem.NewDataReady(e.ToL1, orig.Src, orig.ID, orig.Addr, data)
-			e.part.AssignMsgID(rsp)
-			if !e.ToL1.Send(now, rsp) {
-				return fmt.Errorf("%s: L1 rejected response", e.Name())
-			}
-			return nil
-		}
-		return e.afterDecompression(now, latency, deliver)
+		t.rsp = wire
+		return e.afterCodec(now, t, decompressionCycles(wire.Payload.Alg))
 	case *WriteACK:
-		pw, ok := e.pendingWrites[wire.RspTo]
+		t, ok := e.pendingWrites[wire.RspTo]
 		if !ok {
 			if e.Guard != nil {
 				e.StaleDrops++
@@ -450,17 +438,19 @@ func (e *Engine) handleWire(now sim.Time, msg sim.Msg) error {
 			return fmt.Errorf("%s: WriteACK for unknown request %d", e.Name(), wire.RspTo)
 		}
 		delete(e.pendingWrites, wire.RspTo)
-		if e.Guard != nil && pw.wire.Payload.Alg != comp.None {
+		if e.Guard != nil && t.wireWrite.Payload.Alg != comp.None {
 			// A compressed write completed cleanly: reset the controller's
 			// consecutive-failure count.
 			e.observeIntegrity(true)
 		}
-		orig := pw.req
-		ack := mem.NewWriteACK(e.ToL1, orig.Src, orig.ID, orig.Addr)
+		orig := t.writeReq
+		ack := e.pool.NewWriteACK(e.ToL1, orig.Src, orig.ID, orig.Addr)
 		e.part.AssignMsgID(ack)
 		if !e.ToL1.Send(now, ack) {
 			return fmt.Errorf("%s: L1 rejected ack", e.Name())
 		}
+		e.pool.Free(orig)
+		e.retire(t)
 		return nil
 	case *NACK:
 		if e.Guard == nil {
@@ -471,8 +461,8 @@ func (e *Engine) handleWire(now sim.Time, msg sim.Msg) error {
 			// a codec-attributed integrity failure.
 			e.observeIntegrity(false)
 		}
-		if pw, ok := e.pendingWrites[wire.RspTo]; ok {
-			return e.retransmitWrite(now, wire.RspTo, pw)
+		if t, ok := e.pendingWrites[wire.RspTo]; ok {
+			return e.retransmitWrite(now, wire.RspTo, t)
 		}
 		// Read-path NACK: informational only — the requester already
 		// retransmitted its ReadReq, and this engine kept no state for the
@@ -528,15 +518,15 @@ func (e *Engine) handleTimeout(now sim.Time, evt retryTimeoutEvent) error {
 		return nil
 	}
 	if evt.write {
-		pw, ok := e.pendingWrites[evt.id]
-		if !ok || pw.attempts != evt.attempt {
+		t, ok := e.pendingWrites[evt.id]
+		if !ok || t.attempts != evt.attempt {
 			return nil
 		}
 		e.TimeoutsFired++
-		return e.retransmitWrite(now, evt.id, pw)
+		return e.retransmitWrite(now, evt.id, t)
 	}
-	pr, ok := e.pendingReads[evt.id]
-	if !ok || pr.attempts != evt.attempt {
+	t, ok := e.pendingReads[evt.id]
+	if !ok || t.attempts != evt.attempt {
 		return nil
 	}
 	e.TimeoutsFired++
@@ -548,34 +538,34 @@ func (e *Engine) handleTimeout(now sim.Time, evt retryTimeoutEvent) error {
 // not in the logical traffic/* accounting: they are transport overhead, not
 // new transfers.
 func (e *Engine) retransmitRead(now sim.Time, id uint64) error {
-	pr := e.pendingReads[id]
-	if pr.attempts >= e.Guard.MaxAttempts {
+	t := e.pendingReads[id]
+	if t.attempts >= e.Guard.MaxAttempts {
 		return fmt.Errorf("%s: remote read %#x: retry budget exhausted after %d attempts",
-			e.Name(), pr.wire.Addr, pr.attempts)
+			e.Name(), t.wireRead.Addr, t.attempts)
 	}
-	pr.attempts++
+	t.attempts++
 	e.Retries++
-	e.recordRetrySpan(now, "retry:read", pr.wire.Addr, pr.attempts)
-	e.outQueue.Push(pr.wire)
+	e.recordRetrySpan(now, "retry:read", t.wireRead.Addr, t.attempts)
+	e.outQueue.Push(t.wireRead)
 	e.drainOutQueue(now)
-	e.scheduleTimeout(now, id, pr.attempts, false)
+	e.scheduleTimeout(now, id, t.attempts, false)
 	return nil
 }
 
 // retransmitWrite re-sends the wire WriteReq for a still-pending write. The
 // payload was already encoded and checksummed on first send, so the
 // retransmission costs no additional compression latency.
-func (e *Engine) retransmitWrite(now sim.Time, id uint64, pw *pendingWrite) error {
-	if pw.attempts >= e.Guard.MaxAttempts {
+func (e *Engine) retransmitWrite(now sim.Time, id uint64, t *txn) error {
+	if t.attempts >= e.Guard.MaxAttempts {
 		return fmt.Errorf("%s: remote write %#x: retry budget exhausted after %d attempts",
-			e.Name(), pw.wire.Addr, pw.attempts)
+			e.Name(), t.wireWrite.Addr, t.attempts)
 	}
-	pw.attempts++
+	t.attempts++
 	e.Retries++
-	e.recordRetrySpan(now, "retry:write", pw.wire.Addr, pw.attempts)
-	e.outQueue.Push(pw.wire)
+	e.recordRetrySpan(now, "retry:write", t.wireWrite.Addr, t.attempts)
+	e.outQueue.Push(t.wireWrite)
 	e.drainOutQueue(now)
-	e.scheduleTimeout(now, id, pw.attempts, true)
+	e.scheduleTimeout(now, id, t.attempts, true)
 	return nil
 }
 
@@ -590,14 +580,94 @@ func (e *Engine) recordRetrySpan(now sim.Time, name string, addr uint64, attempt
 	})
 }
 
-func (e *Engine) afterDecompression(now sim.Time, cycles int, deliver func(sim.Time) error) error {
-	if cycles <= 0 {
-		return deliver(now)
+// newTxn takes a recycled transaction record, or builds one.
+func (e *Engine) newTxn(kind txnKind) *txn {
+	e.live++
+	var t *txn
+	if n := len(e.freeTxns); n > 0 {
+		t = e.freeTxns[n-1]
+		e.freeTxns[n-1] = nil
+		e.freeTxns = e.freeTxns[:n-1]
+	} else {
+		t = &txn{e: e}
 	}
-	e.part.Schedule(delayedDeliverEvent{
-		EventBase: sim.NewEventBase(now+sim.Time(cycles), e),
-		deliver:   deliver,
-	})
+	t.kind = kind
+	return t
+}
+
+// retire marks t complete and recycles it, unless its codec tick is still
+// pending (the tick recycles it then).
+func (e *Engine) retire(t *txn) {
+	t.done = true
+	if !t.ticking {
+		e.recycle(t)
+	}
+}
+
+func (e *Engine) recycle(t *txn) {
+	*t = txn{e: e}
+	e.live--
+	e.freeTxns = append(e.freeTxns, t)
+}
+
+// Outstanding returns the number of transaction records in use: remote
+// requests awaiting their response, served requests awaiting the local
+// L2, and payloads inside the codec latency.
+func (e *Engine) Outstanding() int { return e.live }
+
+// afterCodec runs t's codec step once cycles of codec latency have passed:
+// at once when there are none, otherwise from a tick on t at now+cycles.
+func (e *Engine) afterCodec(now sim.Time, t *txn, cycles int) error {
+	if cycles <= 0 {
+		return e.codecDone(now, t)
+	}
+	t.ticking = true
+	e.part.ScheduleTick(now+sim.Time(cycles), t)
+	return nil
+}
+
+// codecDone finishes t's codec step: a compressed wire message enters the
+// output queue, a decompressed payload is forwarded to the local L1 or L2.
+func (e *Engine) codecDone(now sim.Time, t *txn) error {
+	switch t.kind {
+	case remoteRead:
+		data, err := t.rsp.Payload.Decode()
+		if err != nil {
+			return fmt.Errorf("%s: read payload: %w", e.Name(), err)
+		}
+		e.ReadLatency.Add(float64(now - t.issued))
+		orig := t.readReq
+		rsp := e.pool.NewDataReady(e.ToL1, orig.Src, orig.ID, orig.Addr, data)
+		e.part.AssignMsgID(rsp)
+		if !e.ToL1.Send(now, rsp) {
+			return fmt.Errorf("%s: L1 rejected response", e.Name())
+		}
+		e.pool.Free(orig)
+		e.retire(t)
+	case remoteWrite:
+		e.outQueue.Push(t.wireWrite)
+		e.drainOutQueue(now)
+		if t.done {
+			// The write completed while its send was pending.
+			e.recycle(t)
+		}
+	case servedRead:
+		e.outQueue.Push(t.out)
+		e.drainOutQueue(now)
+		e.retire(t)
+	case servedWrite:
+		wire := t.wireWrite
+		data, err := wire.Payload.Decode()
+		if err != nil {
+			return fmt.Errorf("%s: write payload: %w", e.Name(), err)
+		}
+		local := e.pool.NewWriteReq(e.ToL2, e.L2Router(wire.Addr), wire.Addr, data)
+		e.part.AssignMsgID(local)
+		e.serviceWrites[local.ID] = t
+		if !e.ToL2.Send(now, local) {
+			return fmt.Errorf("%s: L2 rejected forwarded write", e.Name())
+		}
+	}
 	return nil
 }
 
@@ -610,13 +680,15 @@ func decompressionCycles(alg comp.Algorithm) int {
 func (e *Engine) handleL2Response(now sim.Time, msg sim.Msg) error {
 	switch rsp := msg.(type) {
 	case *mem.DataReady:
-		wireReq, ok := e.serviceReads[rsp.RspTo]
+		t, ok := e.serviceReads[rsp.RspTo]
 		if !ok {
 			return fmt.Errorf("%s: L2 data for unknown request %d", e.Name(), rsp.RspTo)
 		}
 		delete(e.serviceReads, rsp.RspTo)
 		payload, d := e.compress(rsp.Data)
+		wireReq := t.wireRead
 		out := &DataReady{RspTo: wireReq.ID, Addr: rsp.Addr, Payload: payload}
+		e.pool.Free(rsp)
 		out.Src, out.Dst = e.ToFabric, wireReq.Src
 		out.Bytes = DataReadyHeaderBytes + payload.WireBytes()
 		if e.Guard != nil {
@@ -625,14 +697,16 @@ func (e *Engine) handleL2Response(now sim.Time, msg sim.Msg) error {
 		}
 		e.part.AssignMsgID(out)
 		e.Rec.Header(DataReadyHeaderBytes)
-		e.scheduleSend(now, out, d.CompressionCycles)
-		return nil
+		t.out = out
+		return e.afterCodec(now, t, d.CompressionCycles)
 	case *mem.WriteACK:
-		wireReq, ok := e.serviceWrites[rsp.RspTo]
+		t, ok := e.serviceWrites[rsp.RspTo]
 		if !ok {
 			return fmt.Errorf("%s: L2 ack for unknown request %d", e.Name(), rsp.RspTo)
 		}
 		delete(e.serviceWrites, rsp.RspTo)
+		e.pool.Free(rsp)
+		wireReq := t.wireWrite
 		out := &WriteACK{RspTo: wireReq.ID}
 		out.Src, out.Dst = e.ToFabric, wireReq.Src
 		out.Bytes = WriteACKHeaderBytes
@@ -640,6 +714,7 @@ func (e *Engine) handleL2Response(now sim.Time, msg sim.Msg) error {
 		e.Rec.Header(WriteACKHeaderBytes)
 		e.outQueue.Push(out)
 		e.drainOutQueue(now)
+		e.retire(t)
 		return nil
 	default:
 		return fmt.Errorf("%s: unexpected L2 message %T", e.Name(), msg)

@@ -75,6 +75,7 @@ func (r *recorder) Header(n int) { r.headerBytes += n }
 type testbed struct {
 	engine *sim.Engine
 	part   *sim.Partition
+	pool   *mem.Pool
 	space  *mem.Space
 	bus    *fabric.Bus
 	rdmas  [2]*Engine
@@ -87,6 +88,7 @@ func newTestbed(t *testing.T, policy func(gpu int) core.Policy) *testbed {
 	t.Helper()
 	tb := &testbed{
 		engine: sim.NewEngine(),
+		pool:   new(mem.Pool),
 		rec:    &recorder{},
 	}
 	tb.part = tb.engine.Partition(0)
@@ -95,9 +97,9 @@ func newTestbed(t *testing.T, policy func(gpu int) core.Policy) *testbed {
 
 	for g := 0; g < 2; g++ {
 		g := g
-		tb.drams[g] = mem.NewDRAM("DRAM", tb.part, tb.space, mem.DefaultDRAMConfig())
+		tb.drams[g] = mem.NewDRAM("DRAM", tb.part, tb.pool, tb.space, mem.DefaultDRAMConfig())
 		tb.l1s[g] = newL1Stub("L1")
-		tb.rdmas[g] = New("RDMA", tb.part, g, policy(g), tb.rec)
+		tb.rdmas[g] = New("RDMA", tb.part, tb.pool, g, policy(g), tb.rec)
 		tb.rdmas[g].OwnerOf = tb.space.GPUOf
 		tb.rdmas[g].L2Router = func(uint64) *sim.Port { return tb.drams[g].Top }
 		tb.rdmas[g].RemotePort = func(gpu int) *sim.Port { return tb.rdmas[gpu].ToFabric }
@@ -111,6 +113,22 @@ func newTestbed(t *testing.T, policy func(gpu int) core.Policy) *testbed {
 		tb.bus.Attach(tb.rdmas[g].ToFabric, tb.part)
 	}
 	return tb
+}
+
+// read has GPU g's L1 stub send a remote read of one line and returns the
+// request's message ID. The ID is taken at send time: the engine frees the
+// request when it answers it.
+func (tb *testbed) read(g int, addr uint64) uint64 {
+	r := tb.pool.NewReadReq(tb.l1s[g].port, tb.rdmas[g].ToL1, addr, comp.LineSize)
+	tb.l1s[g].port.Send(tb.engine.Now(), r)
+	return r.ID
+}
+
+// write has GPU g's L1 stub send a remote write and returns its message ID.
+func (tb *testbed) write(g int, addr uint64, data []byte) uint64 {
+	w := tb.pool.NewWriteReq(tb.l1s[g].port, tb.rdmas[g].ToL1, addr, data)
+	tb.l1s[g].port.Send(tb.engine.Now(), w)
+	return w.ID
 }
 
 func compressibleLine() []byte {
@@ -137,12 +155,11 @@ func TestRemoteReadRoundTrip(t *testing.T) {
 	want := compressibleLine()
 	tb.space.Write(addr, want)
 
-	req := mem.NewReadReq(tb.l1s[0].port, tb.rdmas[0].ToL1, addr, comp.LineSize)
-	tb.l1s[0].port.Send(0, req)
+	req := tb.read(0, addr)
 	if err := tb.engine.Run(); err != nil {
 		t.Fatal(err)
 	}
-	rsp, ok := tb.l1s[0].reads[req.ID]
+	rsp, ok := tb.l1s[0].reads[req]
 	if !ok {
 		t.Fatal("no response")
 	}
@@ -169,12 +186,11 @@ func TestRemoteWriteRoundTrip(t *testing.T) {
 	addr := remoteAddr(tb.space)
 	data := compressibleLine()
 
-	req := mem.NewWriteReq(tb.l1s[0].port, tb.rdmas[0].ToL1, addr, data)
-	tb.l1s[0].port.Send(0, req)
+	req := tb.write(0, addr, data)
 	if err := tb.engine.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := tb.l1s[0].acks[req.ID]; !ok {
+	if _, ok := tb.l1s[0].acks[req]; !ok {
 		t.Fatal("no ack")
 	}
 	if got := tb.space.Read(addr, comp.LineSize); !bytes.Equal(got, data) {
@@ -204,12 +220,11 @@ func TestIncompressiblePayloadShipsRawAndBypassesDecompressor(t *testing.T) {
 	}
 	tb.space.Write(addr, line)
 
-	req := mem.NewReadReq(tb.l1s[0].port, tb.rdmas[0].ToL1, addr, comp.LineSize)
-	tb.l1s[0].port.Send(0, req)
+	req := tb.read(0, addr)
 	if err := tb.engine.Run(); err != nil {
 		t.Fatal(err)
 	}
-	rsp, ok := tb.l1s[0].reads[req.ID]
+	rsp, ok := tb.l1s[0].reads[req]
 	if !ok {
 		t.Fatal("no response")
 	}
@@ -231,8 +246,7 @@ func TestCompressionReducesWireBytes(t *testing.T) {
 		addr := remoteAddr(tb.space)
 		tb.space.Write(addr, compressibleLine())
 		for i := 0; i < 20; i++ {
-			req := mem.NewReadReq(tb.l1s[0].port, tb.rdmas[0].ToL1, addr+uint64(i%2)*64, comp.LineSize)
-			tb.l1s[0].port.Send(tb.engine.Now(), req)
+			tb.read(0, addr+uint64(i%2)*64)
 			if err := tb.engine.Run(); err != nil {
 				t.Fatal(err)
 			}
@@ -255,12 +269,11 @@ func TestCompressionLatencyDelaysResponse(t *testing.T) {
 		tb := newTestbed(t, policy)
 		addr := remoteAddr(tb.space)
 		tb.space.Write(addr, compressibleLine())
-		req := mem.NewReadReq(tb.l1s[0].port, tb.rdmas[0].ToL1, addr, comp.LineSize)
-		tb.l1s[0].port.Send(0, req)
+		req := tb.read(0, addr)
 		if err := tb.engine.Run(); err != nil {
 			t.Fatal(err)
 		}
-		return tb.l1s[0].times[req.ID]
+		return tb.l1s[0].times[req]
 	}
 	raw := respTime(func(int) core.Policy { return core.Uncompressed{} })
 	slow := respTime(func(int) core.Policy { return core.NewStatic(comp.CPackZ) })
@@ -285,10 +298,9 @@ func TestAdaptivePolicyOverRDMA(t *testing.T) {
 	})
 	addr := remoteAddr(tb.space)
 	tb.space.Write(addr, compressibleLine())
-	var reqs []*mem.ReadReq
+	var reqs []uint64
 	for i := 0; i < 30; i++ {
-		req := mem.NewReadReq(tb.l1s[0].port, tb.rdmas[0].ToL1, addr, comp.LineSize)
-		tb.l1s[0].port.Send(tb.engine.Now(), req)
+		req := tb.read(0, addr)
 		reqs = append(reqs, req)
 		if err := tb.engine.Run(); err != nil {
 			t.Fatal(err)
@@ -296,12 +308,12 @@ func TestAdaptivePolicyOverRDMA(t *testing.T) {
 	}
 	want := compressibleLine()
 	for _, r := range reqs {
-		rsp, ok := tb.l1s[0].reads[r.ID]
+		rsp, ok := tb.l1s[0].reads[r]
 		if !ok {
-			t.Fatalf("request %d lost", r.ID)
+			t.Fatalf("request %d lost", r)
 		}
 		if !bytes.Equal(rsp.Data, want) {
-			t.Fatalf("request %d data mismatch", r.ID)
+			t.Fatalf("request %d data mismatch", r)
 		}
 	}
 	// After sampling, BDI should be selected for this data.
@@ -320,12 +332,11 @@ func TestPartialLinePayloadShipsRaw(t *testing.T) {
 	tb := newTestbed(t, func(int) core.Policy { return core.NewStatic(comp.FPC) })
 	addr := remoteAddr(tb.space)
 	data := []byte{1, 2, 3, 4, 5, 6, 7, 8}
-	req := mem.NewWriteReq(tb.l1s[0].port, tb.rdmas[0].ToL1, addr, data)
-	tb.l1s[0].port.Send(0, req)
+	req := tb.write(0, addr, data)
 	if err := tb.engine.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := tb.l1s[0].acks[req.ID]; !ok {
+	if _, ok := tb.l1s[0].acks[req]; !ok {
 		t.Fatal("no ack")
 	}
 	if got := tb.space.Read(addr, 8); !bytes.Equal(got, data) {
@@ -336,17 +347,14 @@ func TestPartialLinePayloadShipsRaw(t *testing.T) {
 func TestManyOutstandingRequestsAllComplete(t *testing.T) {
 	tb := newTestbed(t, func(int) core.Policy { return core.NewAdaptive(core.Config{Lambda: 6}) })
 	addr := remoteAddr(tb.space)
-	var reads []*mem.ReadReq
-	var writes []*mem.WriteReq
+	var reads, writes []uint64
 	for i := 0; i < 200; i++ {
 		lineAddr := addr + uint64(i%32)*64
 		if i%3 == 0 {
-			w := mem.NewWriteReq(tb.l1s[0].port, tb.rdmas[0].ToL1, lineAddr, compressibleLine())
-			tb.l1s[0].port.Send(tb.engine.Now(), w)
+			w := tb.write(0, lineAddr, compressibleLine())
 			writes = append(writes, w)
 		} else {
-			r := mem.NewReadReq(tb.l1s[0].port, tb.rdmas[0].ToL1, lineAddr, comp.LineSize)
-			tb.l1s[0].port.Send(tb.engine.Now(), r)
+			r := tb.read(0, lineAddr)
 			reads = append(reads, r)
 		}
 	}
@@ -354,13 +362,13 @@ func TestManyOutstandingRequestsAllComplete(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, r := range reads {
-		if _, ok := tb.l1s[0].reads[r.ID]; !ok {
-			t.Fatalf("read %d lost", r.ID)
+		if _, ok := tb.l1s[0].reads[r]; !ok {
+			t.Fatalf("read %d lost", r)
 		}
 	}
 	for _, w := range writes {
-		if _, ok := tb.l1s[0].acks[w.ID]; !ok {
-			t.Fatalf("write %d lost", w.ID)
+		if _, ok := tb.l1s[0].acks[w]; !ok {
+			t.Fatalf("write %d lost", w)
 		}
 	}
 }
@@ -391,17 +399,15 @@ func TestHeterogeneousPoliciesPerGPU(t *testing.T) {
 
 	// GPU 0 reads GPU 1's line (GPU 1 compresses the response with BDI);
 	// GPU 1 reads GPU 0's line (GPU 0 compresses with FPC).
-	r01 := mem.NewReadReq(tb.l1s[0].port, tb.rdmas[0].ToL1, addr1, comp.LineSize)
-	r10 := mem.NewReadReq(tb.l1s[1].port, tb.rdmas[1].ToL1, addr0, comp.LineSize)
-	tb.l1s[0].port.Send(0, r01)
-	tb.l1s[1].port.Send(0, r10)
+	r01 := tb.read(0, addr1)
+	r10 := tb.read(1, addr0)
 	if err := tb.engine.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if got := tb.l1s[0].reads[r01.ID]; got == nil || !bytes.Equal(got.Data, want) {
+	if got := tb.l1s[0].reads[r01]; got == nil || !bytes.Equal(got.Data, want) {
 		t.Error("GPU0 read via BDI-compressing owner failed")
 	}
-	if got := tb.l1s[1].reads[r10.ID]; got == nil || !bytes.Equal(got.Data, want) {
+	if got := tb.l1s[1].reads[r10]; got == nil || !bytes.Equal(got.Data, want) {
 		t.Error("GPU1 read via FPC-compressing owner failed")
 	}
 	// Both algorithms must appear in the recorded decisions.
@@ -427,7 +433,7 @@ func TestNopRecorder(t *testing.T) {
 	r.Header(4)
 	// New must substitute a NopRecorder when given nil.
 	engine := sim.NewEngine()
-	e := New("R", engine.Partition(0), 0, nil, nil)
+	e := New("R", engine.Partition(0), new(mem.Pool), 0, nil, nil)
 	if e.Rec == nil {
 		t.Fatal("nil recorder not substituted")
 	}

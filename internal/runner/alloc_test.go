@@ -26,13 +26,21 @@ func TestAllocationCeilings(t *testing.T) {
 			// The quickstart's size: tiny inputs on the paper's 4-GPU bus.
 			name:    "SC adaptive, 4-GPU bus, serial",
 			opts:    Options{Scale: workloads.ScaleTiny, Policy: core.PolicyAdaptive, Lambda: 6, SimCores: 1},
-			ceiling: 61_500, // measured 58,487
+			ceiling: 33_300, // measured 31,710
 		},
 		{
 			name: "SC adaptive, 8-GPU ring, serial",
 			opts: Options{Scale: workloads.ScaleTiny, Policy: core.PolicyAdaptive, Lambda: 6,
 				Topology: fabric.TopologyRing, NumGPUs: 8, SimCores: 1},
-			ceiling: 64_800, // measured 61,654
+			ceiling: 37_100, // measured 35,360
+		},
+		{
+			// The same run on the parallel engine: each partition's
+			// envelope pool and RDMA free list is used by its own worker.
+			name: "SC adaptive, 8-GPU ring, 2 sim cores",
+			opts: Options{Scale: workloads.ScaleTiny, Policy: core.PolicyAdaptive, Lambda: 6,
+				Topology: fabric.TopologyRing, NumGPUs: 8, SimCores: 2},
+			ceiling: 37_100, // measured 35,360
 		},
 	}
 	for _, tc := range cases {
