@@ -84,83 +84,6 @@ func (e EventBase) Time() Time { return e.EvtTime }
 // Handler returns the handler that processes the event.
 func (e EventBase) Handler() Handler { return e.EvtHandler }
 
-// queuedEvent is one pending entry. The time is cached so ordering never
-// calls through the Event interface, and lightweight ticks scheduled with
-// ScheduleTick carry only a Handler (evt is nil), avoiding the interface
-// boxing allocation that scheduling a concrete event value would cost.
-type queuedEvent struct {
-	time Time
-	seq  uint64 // tie-breaker for determinism
-	evt  Event  // nil for lightweight ticks
-	h    Handler
-}
-
-func (q queuedEvent) less(o queuedEvent) bool {
-	if q.time != o.time {
-		return q.time < o.time
-	}
-	return q.seq < o.seq
-}
-
-// eventQueue is a hand-rolled 4-ary min-heap over queuedEvent. Compared to
-// container/heap it is monomorphic (no `any` boxing, no interface-method
-// dispatch per comparison) and shallower (4 children per node), which
-// matters because every simulated event passes through it. The order is the
-// same (time, seq) total order the binary heap used, so runs stay
-// deterministic.
-type eventQueue []queuedEvent
-
-func (q *eventQueue) push(qe queuedEvent) {
-	h := append(*q, qe)
-	i := len(h) - 1
-	for i > 0 {
-		p := (i - 1) / 4
-		if !qe.less(h[p]) {
-			break
-		}
-		h[i] = h[p]
-		i = p
-	}
-	h[i] = qe
-	*q = h
-}
-
-func (q *eventQueue) pop() queuedEvent {
-	h := *q
-	top := h[0]
-	last := h[len(h)-1]
-	h[len(h)-1] = queuedEvent{} // release the Event/Handler references
-	h = h[:len(h)-1]
-	n := len(h)
-	if n > 0 {
-		i := 0
-		for {
-			c := 4*i + 1
-			if c >= n {
-				break
-			}
-			m := c
-			end := c + 4
-			if end > n {
-				end = n
-			}
-			for j := c + 1; j < end; j++ {
-				if h[j].less(h[m]) {
-					m = j
-				}
-			}
-			if !h[m].less(last) {
-				break
-			}
-			h[i] = h[m]
-			i = m
-		}
-		h[i] = last
-	}
-	*q = h
-	return top
-}
-
 // Option configures an Engine at construction.
 type Option func(*Engine)
 
@@ -319,7 +242,7 @@ func (e *Engine) EventCount() uint64 {
 func (e *Engine) Pending() int {
 	n := 0
 	for _, p := range e.parts {
-		n += len(p.queue)
+		n += p.queue.len()
 	}
 	return n
 }
@@ -446,8 +369,8 @@ func (e *Engine) RunUntil(t Time) error {
 func (e *Engine) nextWindow() (Time, bool) {
 	t := TimeInf
 	for _, p := range e.parts {
-		if len(p.queue) > 0 && p.queue[0].time < t {
-			t = p.queue[0].time
+		if h := p.queue.headTime(); h < t {
+			t = h
 		}
 	}
 	if t == TimeInf || t > e.maxTime {
@@ -459,10 +382,11 @@ func (e *Engine) nextWindow() (Time, bool) {
 	} else {
 		limit = TimeInf
 		for _, r := range e.cross {
-			if len(r.src.queue) == 0 {
+			h := r.src.queue.headTime()
+			if h == TimeInf {
 				continue
 			}
-			b := satAdd(r.src.queue[0].time, r.latency)
+			b := satAdd(h, r.latency)
 			if r.nextSend > b {
 				b = r.nextSend
 			}
@@ -537,7 +461,7 @@ func (e *Engine) stopWorkers() {
 func (e *Engine) runWindow(limit Time) {
 	e.jobs = e.jobs[:0]
 	for _, p := range e.parts {
-		if len(p.queue) > 0 && p.queue[0].time < limit {
+		if p.queue.headTime() < limit {
 			e.jobs = append(e.jobs, p)
 		}
 	}
@@ -604,10 +528,14 @@ func (e *Engine) runJobs(limit Time) {
 func (e *Engine) wideLimit(p *Partition, limit Time) Time {
 	w := TimeInf
 	for _, r := range e.cross {
-		if r.src == p || len(r.src.queue) == 0 {
+		if r.src == p {
 			continue
 		}
-		b := satAdd(r.src.queue[0].time, r.latency)
+		h := r.src.queue.headTime()
+		if h == TimeInf {
+			continue
+		}
+		b := satAdd(h, r.latency)
 		if r.nextSend > b {
 			b = r.nextSend
 		}

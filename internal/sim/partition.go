@@ -58,7 +58,7 @@ func (p *Partition) Index() int { return p.idx }
 func (p *Partition) Now() Time { return p.now }
 
 // Pending returns the number of events waiting in this partition's queue.
-func (p *Partition) Pending() int { return len(p.queue) }
+func (p *Partition) Pending() int { return p.queue.len() }
 
 // nextSeq assigns the next partition-striped sequence number.
 func (p *Partition) nextSeq() uint64 {
@@ -74,7 +74,7 @@ func (p *Partition) enqueue(t Time, evt Event, h Handler) uint64 {
 	}
 	p.scheduled++
 	seq := p.nextSeq()
-	p.queue.push(queuedEvent{time: t, seq: seq, evt: evt, h: h})
+	p.queue.push(t, seq, evt, h)
 	return seq
 }
 
@@ -89,7 +89,7 @@ func (p *Partition) enqueueStamped(t Time, seq uint64, evt Event, h Handler) {
 		panic(fmt.Sprintf("sim: merging remote event at %d before now %d", t, p.now))
 	}
 	p.scheduled++
-	p.queue.push(queuedEvent{time: t, seq: seq, evt: evt, h: h})
+	p.queue.push(t, seq, evt, h)
 }
 
 // takeBuf hands out a pooled outbox buffer (or a fresh one) for a link that
@@ -144,11 +144,11 @@ func (p *Partition) Pause() { p.stopped = true }
 // keeps running far ahead of the other partitions conservative.
 func (p *Partition) window(limit Time) {
 	p.curLimit = limit
-	for len(p.queue) > 0 && !p.stopped {
-		if p.queue[0].time >= p.curLimit {
+	for !p.stopped {
+		next, ok := p.queue.popBefore(p.curLimit)
+		if !ok {
 			return
 		}
-		next := p.queue.pop()
 		p.now = next.time
 		p.handled++
 

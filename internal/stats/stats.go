@@ -8,6 +8,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 
 	"mgpucompress/internal/comp"
@@ -20,18 +21,23 @@ func ByteEntropy(data []byte) float64 {
 	if len(data) == 0 {
 		return 0
 	}
+	// A 64-byte line holds at most 64 distinct values, so the sum walks a
+	// bitmap of the values seen instead of all 256 counters. It visits them
+	// in ascending order, the order of a full scan, so the float sum is
+	// bit-identical to one.
 	var counts [256]int
+	var seen [4]uint64
 	for _, b := range data {
 		counts[b]++
+		seen[b>>6] |= 1 << (b & 63)
 	}
 	n := float64(len(data))
 	h := 0.0
-	for _, c := range counts {
-		if c == 0 {
-			continue
+	for w, word := range seen {
+		for ; word != 0; word &= word - 1 {
+			p := float64(counts[w<<6+bits.TrailingZeros64(word)]) / n
+			h -= p * math.Log2(p)
 		}
-		p := float64(c) / n
-		h -= p * math.Log2(p)
 	}
 	return h / 8
 }

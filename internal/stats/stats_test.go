@@ -69,6 +69,82 @@ func TestByteEntropyBoundsProperty(t *testing.T) {
 	}
 }
 
+// byteEntropyFullScan is the full 256-counter scan ByteEntropy replaced,
+// kept as the oracle its bitmap walk must match bit for bit.
+func byteEntropyFullScan(data []byte) float64 {
+	if len(data) == 0 {
+		return 0
+	}
+	var counts [256]int
+	for _, b := range data {
+		counts[b]++
+	}
+	n := float64(len(data))
+	h := 0.0
+	for _, c := range counts {
+		if c == 0 {
+			continue
+		}
+		p := float64(c) / n
+		h -= p * math.Log2(p)
+	}
+	return h / 8
+}
+
+// TestByteEntropyMatchesFullScan: the bitmap walk sums the same terms in the
+// same order as the full scan, so the results are bit-identical.
+func TestByteEntropyMatchesFullScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	check := func(name string, data []byte) {
+		t.Helper()
+		got, want := ByteEntropy(data), byteEntropyFullScan(data)
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("%s (len %d): ByteEntropy = %v, full scan = %v", name, len(data), got, want)
+		}
+	}
+	for _, n := range []int{0, 1, 64, 4096} {
+		equal := make([]byte, n)
+		for i := range equal {
+			equal[i] = 0x5A
+		}
+		check("all equal", equal)
+		distinct := make([]byte, n)
+		for i := range distinct {
+			distinct[i] = byte(i)
+		}
+		check("all distinct", distinct)
+		for trial := 0; trial < 200; trial++ {
+			data := make([]byte, n)
+			// Vary the alphabet so lines range from two symbols to all 256.
+			alphabet := 1 + rng.Intn(256)
+			for i := range data {
+				data[i] = byte(rng.Intn(alphabet) * 256 / alphabet)
+			}
+			check("random", data)
+		}
+	}
+}
+
+// BenchmarkByteEntropy measures one 64-byte line, the granularity of the
+// per-transfer entropy accounting, cycling through a zero line, a line of
+// 16 byte values and a random line.
+func BenchmarkByteEntropy(b *testing.B) {
+	rng := rand.New(rand.NewSource(4))
+	lines := make([][]byte, 3)
+	for k, alphabet := range []int{1, 16, 256} {
+		lines[k] = make([]byte, 64)
+		for i := range lines[k] {
+			lines[k][i] = byte(rng.Intn(alphabet))
+		}
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		sinkEntropy = ByteEntropy(lines[i%3])
+	}
+}
+
+var sinkEntropy float64
+
 func TestTrafficAccounting(t *testing.T) {
 	var tr Traffic
 	line := make([]byte, comp.LineSize)
