@@ -114,9 +114,10 @@ serve-smoke:
 	go test -race -count=1 -run '^TestServeSmoke$$' ./cmd/sweepd
 
 # Savina-style fan-out/fan-in load gate for the sweepd API at full pressure:
-# one large batch, many SSE consumers all dropping and resuming mid-stream.
-# Every consumer must see the gapless sequence with exactly one terminal
-# event, and the results artifact must match a direct internal/sweep run
+# one large batch (SERVE_LOAD_JOBS keys) and SERVE_LOAD_CONSUMERS concurrent
+# clients, each resubmitting the plan as its own batch and polling both to
+# completion. The daemon must run every distinct job once across all the
+# batches, and every results file must match a direct internal/sweep run
 # byte for byte. (`go test ./internal/serve` runs the same test at its
 # default scale; -short shrinks it to a smoke.)
 serve-load:

@@ -89,16 +89,15 @@ func run(out string, jobs int, o runner.ExpOptions, resume string, quiet bool, m
 	cfg := runner.SweepConfig{Jobs: jobs, Trace: traceOut != ""}
 
 	// The journal file doubles as resume input (read first) and sink
-	// (appended to as new jobs finish).
-	var journal *os.File
+	// (appended to as new jobs finish). Opening it terminates a torn tail
+	// left by a killed run, so the first appended record stays intact.
 	if resume != "" {
-		f, err := os.OpenFile(resume, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
+		journal, err := sweep.OpenJournal(resume)
 		if err != nil {
 			return err
 		}
-		defer f.Close()
-		journal = f
-		cfg.Journal = f
+		defer journal.Close()
+		cfg.Journal = journal
 	}
 
 	plan := runner.ReproducePlan(o)
@@ -111,23 +110,18 @@ func run(out string, jobs int, o runner.ExpOptions, resume string, quiet bool, m
 		}
 	}
 	s := runner.NewSweep(cfg)
-	if journal != nil {
-		loaded, err := s.Resume(journal)
+	if resume != "" {
+		f, err := os.Open(resume)
+		if err != nil {
+			return err
+		}
+		loaded, err := s.Resume(f)
+		f.Close()
 		if err != nil {
 			return fmt.Errorf("replaying %s: %w", resume, err)
 		}
 		if loaded > 0 {
 			fmt.Printf("resumed %d finished jobs from %s\n", loaded, resume)
-		}
-		// A journal killed mid-write ends with a partial line and no
-		// newline; terminate it so the first appended record stays intact.
-		if st, err := journal.Stat(); err == nil && st.Size() > 0 {
-			buf := make([]byte, 1)
-			if _, err := journal.ReadAt(buf, st.Size()-1); err == nil && buf[0] != '\n' {
-				if _, err := journal.Write([]byte("\n")); err != nil {
-					return fmt.Errorf("terminating %s: %w", resume, err)
-				}
-			}
 		}
 	}
 

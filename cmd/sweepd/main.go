@@ -6,10 +6,11 @@
 //
 // Clients POST batches of job keys to /v1/batches; the daemon deduplicates
 // them against everything it has ever run (across batches and tenants),
-// executes missing jobs on a supervised worker pool, and streams per-job
-// completion events over SSE. Every batch persists a manifest, a streamed
-// journal and a final results file under -data, so a killed daemon resumes
-// all in-flight batches at next start without resimulating finished jobs.
+// executes missing jobs on a supervised worker pool. Clients poll
+// /v1/batches/{id} until the batch settles and then download its results
+// file. Every batch persists a manifest, a streamed journal and a final
+// results file under -data, so a killed daemon resumes all in-flight
+// batches at next start without resimulating finished jobs.
 // cmd/reproduce and cmd/ablations submit to a daemon with their -server
 // flag.
 package main
@@ -29,7 +30,6 @@ import (
 
 	"mgpucompress/internal/runner"
 	"mgpucompress/internal/serve"
-	"mgpucompress/internal/trace"
 )
 
 func main() {
@@ -49,11 +49,10 @@ func run(addr, data string, jobs int) error {
 		jobs = runtime.GOMAXPROCS(0)
 	}
 	svc, err := serve.New(serve.Config[*runner.Result]{
-		Run:      runner.RunJob,
-		DataDir:  data,
-		Workers:  jobs,
-		Describe: describe,
-		Logf:     log.Printf,
+		Run:     runner.RunJob,
+		DataDir: data,
+		Workers: jobs,
+		Logf:    log.Printf,
 	})
 	if err != nil {
 		return err
@@ -93,18 +92,4 @@ func run(addr, data string, jobs int) error {
 		return err
 	}
 	return nil
-}
-
-// describe condenses one simulation result for the SSE event stream.
-func describe(r *runner.Result) *serve.JobSummary {
-	s := &serve.JobSummary{
-		ExecCycles:    r.ExecCycles,
-		FabricBytes:   r.FabricBytes,
-		MetricSamples: len(r.Snapshot),
-	}
-	if r.Spans != nil {
-		sum := trace.Summarize(r.Spans.Spans())
-		s.Spans = &sum
-	}
-	return s
 }

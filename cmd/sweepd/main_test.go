@@ -228,7 +228,7 @@ func TestServeSmoke(t *testing.T) {
 		t.Fatal("warm resubmission results differ from the oracle")
 	}
 	rec, err := c2.Job(keys[0].Fingerprint())
-	if err != nil || rec.Status != serve.JobOK {
+	if err != nil || rec.Status != sweep.StatusOK {
 		t.Fatalf("job lookup = %+v, %v", rec, err)
 	}
 }

@@ -238,42 +238,6 @@ func (s Snapshot) CountMatch(pattern string) int {
 	return n
 }
 
-// Diff returns the samples of s that are new or changed relative to prev —
-// the incremental form a live stream sends per event instead of repeating
-// the whole registry. Both snapshots must be path-sorted (as Registry
-// produces them); the result preserves s's path order, so streaming a
-// sequence of diffs is as deterministic as streaming the snapshots
-// themselves. A metric absent from s but present in prev is simply omitted:
-// registries only grow, so deletion does not occur in practice.
-func (s Snapshot) Diff(prev Snapshot) Snapshot {
-	var out Snapshot
-	i := 0
-	for _, smp := range s {
-		for i < len(prev) && prev[i].Path < smp.Path {
-			i++
-		}
-		if i < len(prev) && prev[i].Path == smp.Path && sampleEqual(prev[i], smp) {
-			continue
-		}
-		out = append(out, smp)
-	}
-	return out
-}
-
-func sampleEqual(a, b Sample) bool {
-	if a.Kind != b.Kind || a.Value != b.Value {
-		return false
-	}
-	switch {
-	case a.Dist == nil && b.Dist == nil:
-		return true
-	case a.Dist == nil || b.Dist == nil:
-		return false
-	default:
-		return *a.Dist == *b.Dist
-	}
-}
-
 // WriteJSON writes the snapshot as indented JSON with a trailing newline —
 // the -metrics-out file format. The bytes are a pure function of the
 // snapshot, so equal runs diff clean.

@@ -163,40 +163,3 @@ func TestMatchHelpers(t *testing.T) {
 		t.Error("Get found an absent path")
 	}
 }
-
-func TestSnapshotDiff(t *testing.T) {
-	r := NewRegistry()
-	a := r.Counter("serve/jobs_ok")
-	b := r.Counter("serve/jobs_failed")
-	d := r.Distribution("serve/job_ticks")
-	a.Inc()
-	d.Observe(3)
-	prev := r.Snapshot()
-
-	// Nothing changed: the diff is empty.
-	if diff := r.Snapshot().Diff(prev); len(diff) != 0 {
-		t.Fatalf("no-change Diff = %+v, want empty", diff)
-	}
-
-	a.Inc()
-	d.Observe(5)
-	_ = b // unchanged counter must not appear
-	diff := r.Snapshot().Diff(prev)
-	if len(diff) != 2 {
-		t.Fatalf("Diff has %d samples, want 2: %+v", len(diff), diff)
-	}
-	if diff[0].Path != "serve/job_ticks" || diff[1].Path != "serve/jobs_ok" {
-		t.Fatalf("Diff paths = %q, %q; want path order preserved", diff[0].Path, diff[1].Path)
-	}
-	if diff[1].Value != 2 {
-		t.Fatalf("diffed counter value = %v, want 2", diff[1].Value)
-	}
-	if diff[0].Dist == nil || diff[0].Dist.Count != 2 || diff[0].Dist.Sum != 8 {
-		t.Fatalf("diffed dist = %+v, want count 2 sum 8", diff[0].Dist)
-	}
-
-	// A diff against an empty snapshot is the full snapshot (first event).
-	if full := r.Snapshot().Diff(nil); len(full) != r.Len() {
-		t.Fatalf("Diff(nil) has %d samples, want %d", len(full), r.Len())
-	}
-}

@@ -49,12 +49,6 @@ type Config struct {
 	// to advance partitions concurrently (0 or 1 = serial). Results are
 	// byte-identical across any SimCores value.
 	SimCores int
-	// FixedLookahead, when nonzero, pins the engine's window width to this
-	// many cycles instead of the default adaptive widening. Results are
-	// byte-identical either way; the knob exists to benchmark the window
-	// scheduler (see cmd/benchreport) and must not exceed the minimum
-	// cross-partition link latency (the fabric's LinkLatency).
-	FixedLookahead sim.Time
 	// ArgBufferBytes sizes the per-GPU kernel-argument buffer.
 	ArgBufferBytes uint64
 	// RemoteCache, when non-nil, inserts a per-GPU cache for REMOTE data
@@ -352,15 +346,8 @@ func Build(cfg Config) (*Platform, Partitions) {
 		cfg.Fabric.Fault = injector
 	}
 
-	engOpts := []sim.Option{
-		sim.WithPartitions(cfg.NumGPUs + 1),
-		sim.WithCores(cfg.SimCores),
-	}
-	if cfg.FixedLookahead > 0 {
-		engOpts = append(engOpts, sim.WithLookahead(cfg.FixedLookahead))
-	}
 	p := &Platform{
-		Engine:  sim.NewEngine(engOpts...),
+		Engine:  sim.NewEngine(sim.WithPartitions(cfg.NumGPUs+1), sim.WithCores(cfg.SimCores)),
 		Metrics: cfg.Metrics,
 		Spans:   cfg.Spans,
 		cfg:     cfg,

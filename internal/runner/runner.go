@@ -16,7 +16,6 @@ import (
 	"mgpucompress/internal/metrics"
 	"mgpucompress/internal/platform"
 	"mgpucompress/internal/rdma"
-	"mgpucompress/internal/sim"
 	"mgpucompress/internal/stats"
 	"mgpucompress/internal/trace"
 	"mgpucompress/internal/workloads"
@@ -75,12 +74,6 @@ type Options struct {
 	// Results are byte-identical across any SimCores value. Runs that
 	// capture ordered streams (Trace, SeriesLimit) are forced serial.
 	SimCores int
-	// FixedLookahead, when positive, pins the engine's window width to this
-	// many cycles instead of the default adaptive widening — the PR 8
-	// scheduling baseline. Results are byte-identical either way; only
-	// windows-per-run changes. Used by cmd/benchreport's window-scheduling
-	// table. Must not exceed the fabric link latency.
-	FixedLookahead int
 }
 
 // Validate reports the first configuration error, consolidating the checks
@@ -111,9 +104,6 @@ func (o Options) Validate() error {
 	if o.SimCores < 0 {
 		return fmt.Errorf("negative sim cores %d", o.SimCores)
 	}
-	if o.FixedLookahead < 0 {
-		return fmt.Errorf("negative fixed lookahead %d", o.FixedLookahead)
-	}
 	switch o.Topology {
 	case "", fabric.TopologyBus, fabric.TopologyCrossbar, fabric.TopologyRing, fabric.TopologyTree:
 	case fabric.TopologyMesh:
@@ -126,13 +116,6 @@ func (o Options) Validate() error {
 		}
 	default:
 		return fmt.Errorf("unknown topology %q", o.Topology)
-	}
-	if o.Policy == core.PolicyAdaptiveGlobal && o.FixedLookahead > 0 {
-		// The shared controller observes transfers from every partition, so
-		// the window placement becomes part of the observation order; pinning
-		// it would make FixedLookahead result-bearing instead of a pure
-		// scheduling knob.
-		return fmt.Errorf("policy adaptive-global does not support FixedLookahead")
 	}
 	if o.Link < energy.OnChip || o.Link > energy.Node {
 		return fmt.Errorf("invalid link class %d", o.Link)
@@ -394,7 +377,6 @@ func Run(abbrev string, opts Options) (*Result, error) {
 		cfg.Fabric.Trace = traceLog
 	}
 	cfg.SimCores = opts.SimCores
-	cfg.FixedLookahead = sim.Time(opts.FixedLookahead)
 	recs := newRecorderSet(opts, cfg.NumGPUs+1)
 	recs.registerMetrics(reg)
 	cfg.NewRecorder = func(unit int) rdma.Recorder { return recs.forUnit(unit) }

@@ -1,16 +1,14 @@
 package serve
 
 import (
-	"encoding/json"
-
 	"mgpucompress/internal/metrics"
 	"mgpucompress/internal/sweep"
-	"mgpucompress/internal/trace"
 )
 
 // This file is the wire surface of the sweep service: every type that
 // crosses the HTTP boundary, with field order fixed so marshaled artifacts
-// are byte-stable.
+// are byte-stable. Job records — journal and results lines, and the
+// GET /v1/jobs/{fingerprint} body — are sweep.Record.
 
 // BatchRequest is the POST /v1/batches body: a set of job keys to run (or
 // serve from the memo cache) as one named unit. Tenant is an accounting
@@ -44,27 +42,6 @@ type BatchStatus struct {
 	Error string `json:"error,omitempty"`
 }
 
-// Job record statuses.
-const (
-	JobOK     = "ok"
-	JobFailed = "failed"
-)
-
-// JobRecord is one line of a batch journal and of the final results
-// journal, and the GET /v1/jobs/{fingerprint} response. For a successful
-// job the Fingerprint/Seed/Key/Result fields line up with sweep.Record, so
-// a downloaded results journal can be replayed straight into an engine via
-// sweep.Engine.Resume (failed records carry no Result and are skipped by
-// the replay, which re-runs them deterministically).
-type JobRecord struct {
-	Fingerprint string          `json:"fingerprint"`
-	Seed        int64           `json:"seed"`
-	Key         sweep.JobKey    `json:"key"`
-	Status      string          `json:"status"`
-	Error       string          `json:"error,omitempty"`
-	Result      json.RawMessage `json:"result,omitempty"`
-}
-
 // Manifest is the on-disk description of a submitted batch, written before
 // any of its jobs run: after a crash it is the authoritative plan the
 // daemon resumes. Keys are stored deduplicated in canonical order — the
@@ -73,66 +50,6 @@ type Manifest struct {
 	ID     string         `json:"id"`
 	Tenant string         `json:"tenant,omitempty"`
 	Keys   []sweep.JobKey `json:"keys"`
-}
-
-// Event types on the SSE stream.
-const (
-	EventJob   = "job"   // one job settled
-	EventBatch = "batch" // terminal: the batch reached StateDone/StateError
-	EventGap   = "gap"   // reconnect watermark did not match this stream
-)
-
-// Event is one SSE frame on GET /v1/batches/{id}/events. Seq increases by
-// one per event within a batch; exactly one terminal EventBatch frame ends
-// every stream. Epoch is the daemon's boot counter: a restarted daemon
-// rebuilds batch histories from its journals with fresh sequence numbers,
-// so (epoch, seq) — not seq alone — is the resume watermark a client must
-// present when reconnecting.
-//
-// A synthetic EventGap frame (seq 0, Since = the client's stale watermark)
-// opens the stream when the presented watermark does not identify a point
-// in the current history — wrong epoch after a restart, or a seq beyond
-// what this life recorded. Everything after the gap frame is the full
-// rebuilt history: the client knows it is re-observing, not continuing.
-type Event struct {
-	Seq   int    `json:"seq"`
-	Epoch int64  `json:"epoch,omitempty"`
-	Type  string `json:"type"`
-	Batch string `json:"batch"`
-
-	// Since echoes, on an EventGap frame only, the seq watermark the
-	// client presented and the server could not honor.
-	Since int `json:"since,omitempty"`
-
-	// Job-event fields.
-	Fingerprint string `json:"fingerprint,omitempty"`
-	Key         string `json:"key,omitempty"` // canonical form
-	Status      string `json:"status,omitempty"`
-	Error       string `json:"error,omitempty"`
-	// Progress snapshots the engine counters at emission (live events
-	// only; events replayed from a journal after a restart omit it).
-	Progress *sweep.Progress `json:"progress,omitempty"`
-	// Summary condenses the job's result (Config.Describe hook).
-	Summary *JobSummary `json:"summary,omitempty"`
-	// Metrics is the incremental service-registry snapshot: the samples
-	// that changed since the previous event on any batch.
-	Metrics metrics.Snapshot `json:"metrics,omitempty"`
-
-	// Terminal-event fields (mirrors BatchStatus).
-	State     string `json:"state,omitempty"`
-	Jobs      int    `json:"jobs,omitempty"`
-	Completed int    `json:"completed,omitempty"`
-	Failed    int    `json:"failed,omitempty"`
-}
-
-// JobSummary condenses one completed job for the event stream: headline
-// simulation numbers, the size of its metric snapshot, and a span-timeline
-// summary. The daemon's Describe hook fills it from the simulator result.
-type JobSummary struct {
-	ExecCycles    uint64         `json:"exec_cycles,omitempty"`
-	FabricBytes   uint64         `json:"fabric_bytes,omitempty"`
-	MetricSamples int            `json:"metric_samples,omitempty"`
-	Spans         *trace.Summary `json:"spans,omitempty"`
 }
 
 // Health is the GET /v1/healthz response.

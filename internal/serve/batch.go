@@ -19,16 +19,12 @@ type batch struct {
 	keys   []sweep.JobKey
 	fps    []string // fingerprints, parallel to keys
 
-	// All mutable state below is guarded by the owning Service's mu;
-	// events are appended and fanned out under that same lock, which is
-	// what makes "seq order == arrival order" hold for every subscriber.
-	records map[string]JobRecord
+	// All mutable state below is guarded by the owning Service's mu.
+	records map[string]sweep.Record
 	failed  int
 	state   string
 	err     string // terminal fault when state == StateError
-	journal *BatchJournal
-	events  []Event
-	subs    map[chan Event]bool
+	journal *sweep.Journal
 }
 
 func (b *batch) status() BatchStatus {
@@ -81,7 +77,7 @@ func (s *Service[R]) Submit(req BatchRequest) (BatchStatus, error) {
 
 // addBatch builds the runtime state for a manifest and registers it.
 func (s *Service[R]) addBatch(m Manifest) (*batch, error) {
-	journal, err := s.store.OpenJournal(m.ID)
+	journal, err := sweep.OpenJournal(s.store.journalPath(m.ID))
 	if err != nil {
 		return nil, err
 	}
@@ -89,10 +85,9 @@ func (s *Service[R]) addBatch(m Manifest) (*batch, error) {
 		id:      m.ID,
 		tenant:  m.Tenant,
 		keys:    m.Keys,
-		records: make(map[string]JobRecord),
+		records: make(map[string]sweep.Record),
 		state:   StateRunning,
 		journal: journal,
-		subs:    make(map[chan Event]bool),
 	}
 	for _, k := range m.Keys {
 		b.fps = append(b.fps, k.Fingerprint())
@@ -124,52 +119,32 @@ func (s *Service[R]) enqueue(b *batch, done map[string]bool) {
 // outcome. This is the only writer of batch records.
 func (s *Service[R]) runJob(b *batch, key sweep.JobKey, fp string) {
 	res, runErr := s.eng.Get(key)
-	rec := JobRecord{Fingerprint: fp, Seed: key.Seed(), Key: key}
-	var summary *JobSummary
+	rec := sweep.Record{Fingerprint: fp, Seed: key.Seed(), Key: key}
 	if runErr != nil {
-		rec.Status, rec.Error = JobFailed, runErr.Error()
+		rec.Status, rec.Error = sweep.StatusFailed, runErr.Error()
 	} else if payload, err := json.Marshal(res); err != nil {
-		rec.Status, rec.Error = JobFailed, fmt.Sprintf("marshaling result: %v", err)
+		rec.Status, rec.Error = sweep.StatusFailed, fmt.Sprintf("marshaling result: %v", err)
 	} else {
-		rec.Status, rec.Result = JobOK, payload
-		if s.cfg.Describe != nil {
-			summary = s.cfg.Describe(res)
-		}
+		rec.Status, rec.Result = sweep.StatusOK, payload
 	}
 	if err := b.journal.Append(rec); err != nil {
 		s.logf("batch %s: journal %s: %v", b.id, fp, err)
 	}
-	s.completeJob(b, rec, summary, true)
+	if rec.Status == sweep.StatusOK {
+		s.count(func() { s.jobsOK.Inc() })
+	} else {
+		s.count(func() { s.jobsFailed.Inc() })
+	}
+	s.completeJob(b, rec, true)
 }
 
-// completeJob folds one settled job into the batch and emits its event.
-// live distinguishes fresh completions from journal replays at startup
-// (replays carry no progress snapshot and no metrics delta).
-func (s *Service[R]) completeJob(b *batch, rec JobRecord, summary *JobSummary, live bool) {
+// completeJob folds one settled job into the batch. live distinguishes
+// fresh completions from journal replays at startup.
+func (s *Service[R]) completeJob(b *batch, rec sweep.Record, live bool) {
 	raw, err := json.Marshal(rec)
 	if err != nil { // unreachable: rec is marshal-clean by construction
 		s.logf("batch %s: record %s: %v", b.id, rec.Fingerprint, err)
 		return
-	}
-
-	ev := Event{
-		Type:        EventJob,
-		Batch:       b.id,
-		Fingerprint: rec.Fingerprint,
-		Key:         rec.Key.Canonical(),
-		Status:      rec.Status,
-		Error:       rec.Error,
-		Summary:     summary,
-	}
-	if live {
-		p := s.eng.Stats()
-		ev.Progress = &p
-		if rec.Status == JobOK {
-			s.count(func() { s.jobsOK.Inc() })
-		} else {
-			s.count(func() { s.jobsFailed.Inc() })
-		}
-		ev.Metrics = s.metricsDelta()
 	}
 
 	s.mu.Lock()
@@ -178,11 +153,10 @@ func (s *Service[R]) completeJob(b *batch, rec JobRecord, summary *JobSummary, l
 		return
 	}
 	b.records[rec.Fingerprint] = rec
-	if rec.Status == JobFailed {
+	if rec.Status == sweep.StatusFailed {
 		b.failed++
 	}
 	s.jobs[rec.Fingerprint] = raw
-	s.emitLocked(b, ev)
 	complete := len(b.records) == len(b.keys)
 	s.mu.Unlock()
 
@@ -193,11 +167,10 @@ func (s *Service[R]) completeJob(b *batch, rec JobRecord, summary *JobSummary, l
 	}
 }
 
-// finishBatch writes the canonical results journal and emits the terminal
-// event.
+// finishBatch writes the canonical results journal and settles the batch.
 func (s *Service[R]) finishBatch(b *batch) {
 	s.mu.Lock()
-	recs := make([]JobRecord, 0, len(b.keys))
+	recs := make([]sweep.Record, 0, len(b.keys))
 	for _, fp := range b.fps {
 		recs = append(recs, b.records[fp])
 	}
@@ -213,70 +186,12 @@ func (s *Service[R]) finishBatch(b *batch) {
 	b.state, b.err = state, terminalErr
 	b.closeJournal()
 	st := b.status()
-	s.emitLocked(b, Event{
-		Type: EventBatch, Batch: b.id,
-		State: st.State, Error: st.Error,
-		Jobs: st.Jobs, Completed: st.Completed, Failed: st.Failed,
-	})
-	// The terminal event ends every stream: close subscriber channels so
-	// handlers return.
-	for ch := range b.subs {
-		close(ch)
-		delete(b.subs, ch)
-	}
 	s.mu.Unlock()
 
 	if state == StateDone {
 		s.count(func() { s.batchesDone.Inc() })
 	}
 	s.logf("batch %s: %s (%d jobs, %d failed)", b.id, state, st.Jobs, st.Failed)
-}
-
-// emitLocked assigns the event's sequence number, appends it to the batch
-// history, and fans it out. Callers hold s.mu — that single lock is the
-// ordering guarantee: every subscriber observes events in seq order. A
-// subscriber too slow to keep up is disconnected (its channel closed)
-// rather than allowed to stall the sweep.
-func (s *Service[R]) emitLocked(b *batch, ev Event) {
-	ev.Seq = len(b.events) + 1
-	ev.Epoch = s.epoch
-	b.events = append(b.events, ev)
-	for ch := range b.subs {
-		select {
-		case ch <- ev:
-		default:
-			close(ch)
-			delete(b.subs, ch)
-		}
-	}
-}
-
-// subscribe atomically snapshots the batch's event history and registers a
-// live channel. A nil channel means the batch is already terminal: the
-// history is complete and there is nothing to wait for.
-func (s *Service[R]) subscribe(b *batch) ([]Event, chan Event) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	history := append([]Event(nil), b.events...)
-	if b.state != StateRunning {
-		return history, nil
-	}
-	ch := make(chan Event, 256)
-	b.subs[ch] = true
-	return history, ch
-}
-
-// unsubscribe removes a live channel (client went away).
-func (s *Service[R]) unsubscribe(b *batch, ch chan Event) {
-	if ch == nil {
-		return
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if b.subs[ch] {
-		delete(b.subs, ch)
-		close(ch)
-	}
 }
 
 // Batch returns the status of one batch.
@@ -352,39 +267,34 @@ func (s *Service[R]) resume() error {
 			return fmt.Errorf("serve: replaying %s: %w", m.ID, rerr)
 		}
 	}
-	// Pass 2: rebuild batch state. Settled batches replay from their
-	// results file (the authoritative artifact); in-flight ones from the
-	// streamed journal.
+	// Pass 2: rebuild batch state from the same record streams, in
+	// journaled completion order. The plan is the filter: a journal may
+	// hold records for keys the manifest no longer lists — they stay in the
+	// memo cache only.
 	resumed := 0
 	for _, m := range manifests {
-		var recs []JobRecord
-		var err error
-		if s.store.HasResults(m.ID) {
-			recs, err = s.store.ReadResults(m.ID)
-		} else {
-			recs, err = s.store.ReadJournal(m.ID)
-		}
-		if err != nil {
-			return fmt.Errorf("serve: journal %s: %w", m.ID, err)
-		}
 		b, err := s.addBatch(m)
 		if err != nil {
 			return err
 		}
-		// Replay settled jobs in their journaled completion order; the
-		// plan is the filter (a journal may hold records for keys the
-		// manifest no longer lists — they stay in the memo cache only).
 		planned := make(map[string]bool, len(b.fps))
 		for _, fp := range b.fps {
 			planned[fp] = true
 		}
-		done := make(map[string]bool, len(recs))
-		for _, rec := range recs {
-			if !planned[rec.Fingerprint] {
-				continue
+		done := make(map[string]bool, len(b.fps))
+		r, err := s.store.OpenReplayReader(m.ID)
+		if err != nil {
+			return fmt.Errorf("serve: journal %s: %w", m.ID, err)
+		}
+		err = sweep.ReadJournal(r, func(rec sweep.Record) {
+			if planned[rec.Fingerprint] {
+				s.completeJob(b, rec, false)
+				done[rec.Fingerprint] = true
 			}
-			s.completeJob(b, rec, nil, false)
-			done[rec.Fingerprint] = true
+		})
+		r.Close()
+		if err != nil {
+			return fmt.Errorf("serve: journal %s: %w", m.ID, err)
 		}
 		s.mu.Lock()
 		complete := len(b.records) == len(b.keys) && b.state == StateRunning
@@ -395,11 +305,6 @@ func (s *Service[R]) resume() error {
 			s.mu.Lock()
 			b.state = StateDone
 			b.closeJournal()
-			st := b.status()
-			s.emitLocked(b, Event{
-				Type: EventBatch, Batch: b.id,
-				State: st.State, Jobs: st.Jobs, Completed: st.Completed, Failed: st.Failed,
-			})
 			s.mu.Unlock()
 			continue
 		}
@@ -423,17 +328,6 @@ func (s *Service[R]) count(fn func()) {
 	s.regMu.Lock()
 	fn()
 	s.regMu.Unlock()
-}
-
-// metricsDelta snapshots the service registry and returns the samples that
-// changed since the last emitted delta — the incremental stream form.
-func (s *Service[R]) metricsDelta() metrics.Snapshot {
-	s.regMu.Lock()
-	defer s.regMu.Unlock()
-	snap := s.reg.Snapshot()
-	delta := snap.Diff(s.lastSnap)
-	s.lastSnap = snap
-	return delta
 }
 
 // MetricsSnapshot freezes the full service registry.

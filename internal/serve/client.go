@@ -21,7 +21,7 @@ type Client struct {
 	BaseURL string
 	// HTTP is the transport (default http.DefaultClient).
 	HTTP *http.Client
-	// PollInterval paces WaitBatch status polls (default 100ms).
+	// PollInterval paces Wait status polls (default 100ms).
 	PollInterval time.Duration
 }
 
@@ -124,48 +124,13 @@ func (c *Client) Results(id string) (io.ReadCloser, error) {
 	return resp.Body, nil
 }
 
-// Events streams a batch's SSE events, calling fn per event until the
-// stream ends (terminal batch event), fn returns false, or the connection
-// drops. after and epoch form the resume watermark — the Epoch and Seq of
-// the last event previously observed; pass (0, 0) to read from the start.
-//
-// On reconnect the daemon compares the watermark against its current
-// history: if it still names a point in the stream (same daemon life), fn
-// sees only events after it. If not — the daemon restarted and rebuilt its
-// history under a new epoch, or the watermark is beyond anything recorded —
-// the first event fn sees is an EventGap frame (Since = the stale
-// watermark) followed by the full renumbered history, so a consumer can
-// reset its state instead of mistaking the replay for new progress.
-func (c *Client) Events(id string, epoch int64, after int, fn func(Event) bool) error {
-	req, err := http.NewRequest(http.MethodGet, c.url("/v1/batches/"+id+"/events"), nil)
-	if err != nil {
-		return err
-	}
-	if epoch != 0 || after != 0 {
-		req.Header.Set("Last-Event-ID", Watermark(epoch, after))
-	}
-	resp, err := c.http_().Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		var ae apiError
-		if json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&ae) == nil && ae.Error != "" {
-			return fmt.Errorf("serve: %s: %s", resp.Status, ae.Error)
-		}
-		return fmt.Errorf("serve: %s", resp.Status)
-	}
-	return ParseSSE(resp.Body, fn)
-}
-
 // Job fetches one settled job's record by fingerprint.
-func (c *Client) Job(fingerprint string) (JobRecord, error) {
+func (c *Client) Job(fingerprint string) (sweep.Record, error) {
 	resp, err := c.http_().Get(c.url("/v1/jobs/" + fingerprint))
 	if err != nil {
-		return JobRecord{}, err
+		return sweep.Record{}, err
 	}
-	var rec JobRecord
+	var rec sweep.Record
 	return rec, decode(resp, &rec)
 }
 
@@ -200,7 +165,7 @@ func (c *Client) RunJob(key sweep.JobKey) (json.RawMessage, error) {
 	if err != nil {
 		return nil, err
 	}
-	if rec.Status != JobOK {
+	if rec.Status != sweep.StatusOK {
 		return nil, fmt.Errorf("serve: job %s: %s", rec.Fingerprint, rec.Error)
 	}
 	return rec.Result, nil

@@ -36,69 +36,41 @@ func loadPlan(n int) []sweep.JobKey {
 	return keys
 }
 
-// loadConsumer follows one batch's event stream to its terminal event the
-// way a flaky client would: it drops the connection after a random number of
-// frames and reconnects presenting the (epoch, seq) watermark of the last
-// event it saw. It returns every event accepted across all connections.
-//
-// The protocol assertions live here: frames after a same-epoch watermark
-// resume are seq-contiguous and gap-frame-free, and the terminal batch event
-// arrives exactly once, last.
-func loadConsumer(t *testing.T, c *Client, id string, seed int64) []Event {
+// directResults runs the plan through a bare internal/sweep engine and
+// renders the records the way a settled batch's results file holds them.
+func directResults(t *testing.T, plan []sweep.JobKey) []byte {
 	t.Helper()
-	rng := rand.New(rand.NewSource(seed))
-	var got []Event
-	epoch, after := int64(0), 0
-	conns := 0
-	for {
-		conns++
-		if conns > 10_000 {
-			t.Errorf("consumer %d: no terminal event after %d connections", seed, conns)
-			return got
+	eng := sweep.New(sweep.Config[testResult]{Run: protect(testRun), Workers: 4})
+	var direct bytes.Buffer
+	for _, k := range plan {
+		rec := sweep.Record{Fingerprint: k.Fingerprint(), Seed: k.Seed(), Key: k}
+		res, runErr := eng.Get(k)
+		if runErr != nil {
+			rec.Status, rec.Error = sweep.StatusFailed, runErr.Error()
+		} else {
+			payload, err := json.Marshal(res)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rec.Status, rec.Result = sweep.StatusOK, payload
 		}
-		dropAfter := 1 + rng.Intn(40) // frames to accept before hanging up
-		terminal := false
-		err := c.Events(id, epoch, after, func(ev Event) bool {
-			if ev.Type == EventGap {
-				t.Errorf("consumer %d: gap frame on a live daemon: %+v", seed, ev)
-				return false
-			}
-			if ev.Seq != after+1 {
-				t.Errorf("consumer %d: seq %d after watermark %d, want %d", seed, ev.Seq, after, after+1)
-				return false
-			}
-			got = append(got, ev)
-			epoch, after = ev.Epoch, ev.Seq
-			if ev.Type == EventBatch {
-				terminal = true
-				return false
-			}
-			dropAfter--
-			return dropAfter > 0
-		})
+		line, err := json.Marshal(rec)
 		if err != nil {
-			t.Errorf("consumer %d: %v", seed, err)
-			return got
+			t.Fatal(err)
 		}
-		if terminal {
-			return got
-		}
-		// Dropped mid-stream (or the server hung up on a slow channel):
-		// reconnect from the watermark, sometimes after a beat so the next
-		// connection lands in replay-from-history rather than live fan-out.
-		if rng.Intn(4) == 0 {
-			time.Sleep(time.Duration(rng.Intn(3)) * time.Millisecond)
-		}
+		direct.Write(append(line, '\n'))
 	}
+	return direct.Bytes()
 }
 
 // TestServeLoad is the Savina-style fan-out/fan-in gate for the sweepd API:
 // one large batch fans out across the supervised worker pool while many
-// concurrent SSE consumers — all dropping and resuming mid-stream — fan its
-// event stream back in. Every consumer must observe the complete, gapless
-// event sequence ending in exactly one terminal event, and the daemon's
-// results artifact must be byte-identical to a direct internal/sweep run of
-// the same plan.
+// concurrent clients fan in on it. Each client resubmits the whole plan as
+// its own batch — shuffled, with a duplicate key — and then polls both the
+// shared batch and its own to completion, so every distinct job is
+// requested by many batches at once and the daemon-global memo cache must
+// run it exactly once. Every downloaded results file must be byte-identical
+// to its on-disk artifact and to a direct internal/sweep run of the plan.
 //
 // Scale comes from SERVE_LOAD_JOBS / SERVE_LOAD_CONSUMERS (the serve-load
 // make target raises both); -short shrinks it to a smoke that still
@@ -118,32 +90,50 @@ func TestServeLoad(t *testing.T) {
 	s := newTestService(t, t.TempDir(), func(c *Config[testResult]) {
 		inner := c.Run
 		c.Run = func(k sweep.JobKey) (testResult, error) {
-			time.Sleep(time.Millisecond) // spread completions so consumers stream live
+			time.Sleep(time.Millisecond) // spread completions so clients poll live batches
 			return inner(k)
 		}
 	})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
-	c := &Client{BaseURL: ts.URL}
 
 	keys := loadPlan(jobs)
 	st, err := s.Submit(BatchRequest{Tenant: "load", Keys: keys})
 	if err != nil {
 		t.Fatal(err)
 	}
-
 	plan := sweep.Dedup(append([]sweep.JobKey(nil), keys...))
 	sweep.SortCanonical(plan)
 
-	// Fan-out: every consumer follows the stream concurrently with the
-	// batch's execution, each with its own reconnect schedule.
-	streams := make([][]Event, consumers)
+	// Fan-out: every client resubmits the plan and polls concurrently with
+	// the shared batch's execution.
+	ids := make([]string, consumers)
 	var wg sync.WaitGroup
 	for i := 0; i < consumers; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			streams[i] = loadConsumer(t, c, st.ID, int64(i+1))
+			c := &Client{BaseURL: ts.URL, PollInterval: time.Millisecond}
+			mine := append([]sweep.JobKey(nil), keys...)
+			rng := rand.New(rand.NewSource(int64(i + 1)))
+			rng.Shuffle(len(mine), func(a, b int) { mine[a], mine[b] = mine[b], mine[a] })
+			mine = append(mine, mine[0])
+			own, err := c.Submit(BatchRequest{Tenant: "client-" + strconv.Itoa(i), Keys: mine})
+			if err != nil {
+				t.Errorf("client %d: submit: %v", i, err)
+				return
+			}
+			ids[i] = own.ID
+			for _, id := range []string{st.ID, own.ID} {
+				fin, err := c.Wait(id, nil)
+				if err != nil {
+					t.Errorf("client %d: wait %s: %v", i, id, err)
+					return
+				}
+				if fin.State != StateDone || fin.Jobs != len(plan) || fin.Completed != len(plan) {
+					t.Errorf("client %d: batch %s settled as %+v, want done with %d jobs", i, id, fin, len(plan))
+				}
+			}
 		}(i)
 	}
 	wg.Wait()
@@ -151,81 +141,35 @@ func TestServeLoad(t *testing.T) {
 		t.FailNow()
 	}
 
-	// Fan-in: every consumer saw the identical complete sequence.
-	want := make(map[string]bool, len(plan))
-	for _, k := range plan {
-		want[k.Fingerprint()] = true
-	}
-	for i, events := range streams {
-		if len(events) != len(plan)+1 {
-			t.Fatalf("consumer %d collected %d events for %d jobs, want jobs+1", i, len(events), len(plan))
-		}
-		terminals := 0
-		seen := make(map[string]bool, len(plan))
-		for j, ev := range events {
-			if ev.Seq != j+1 {
-				t.Fatalf("consumer %d: event %d has seq %d", i, j, ev.Seq)
-			}
-			if ev.Type == EventBatch {
-				terminals++
-				continue
-			}
-			if !want[ev.Fingerprint] {
-				t.Fatalf("consumer %d: unplanned job %s", i, ev.Fingerprint)
-			}
-			if seen[ev.Fingerprint] {
-				t.Fatalf("consumer %d: job %s delivered twice", i, ev.Fingerprint)
-			}
-			seen[ev.Fingerprint] = true
-		}
-		if terminals != 1 || events[len(events)-1].Type != EventBatch {
-			t.Fatalf("consumer %d: %d terminal events (last is %s), want exactly one, last",
-				i, terminals, events[len(events)-1].Type)
-		}
-		if len(seen) != len(plan) {
-			t.Fatalf("consumer %d: saw %d distinct jobs, want %d", i, len(seen), len(plan))
-		}
-	}
-
-	// The downloaded results are the on-disk artifact, byte for byte.
-	rc, err := c.Results(st.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	downloaded := new(bytes.Buffer)
-	if _, err := downloaded.ReadFrom(rc); err != nil {
-		t.Fatal(err)
-	}
-	rc.Close()
-	if !bytes.Equal(downloaded.Bytes(), resultsBytes(t, s.cfg.DataDir, st.ID)) {
-		t.Fatal("downloaded results differ from the on-disk artifact")
-	}
-
-	// And that artifact is byte-identical to a direct internal/sweep run of
-	// the same plan — the daemon added scheduling, streaming and storage, but
+	// Fan-in: every batch's downloaded results are its on-disk artifact,
+	// byte for byte, and that artifact is a direct internal/sweep run of the
+	// same plan — the daemon added scheduling, polling and storage, but
 	// changed no result.
-	eng := sweep.New(sweep.Config[testResult]{Run: protect(testRun), Workers: 4})
-	var direct bytes.Buffer
-	for _, k := range plan {
-		rec := JobRecord{Fingerprint: k.Fingerprint(), Seed: k.Seed(), Key: k}
-		res, runErr := eng.Get(k)
-		if runErr != nil {
-			rec.Status, rec.Error = JobFailed, runErr.Error()
-		} else {
-			payload, err := json.Marshal(res)
-			if err != nil {
-				t.Fatal(err)
-			}
-			rec.Status, rec.Result = JobOK, payload
-		}
-		line, err := json.Marshal(rec)
+	want := directResults(t, plan)
+	c := &Client{BaseURL: ts.URL}
+	for _, id := range append([]string{st.ID}, ids...) {
+		rc, err := c.Results(id)
 		if err != nil {
 			t.Fatal(err)
 		}
-		direct.Write(append(line, '\n'))
+		downloaded := new(bytes.Buffer)
+		if _, err := downloaded.ReadFrom(rc); err != nil {
+			t.Fatal(err)
+		}
+		rc.Close()
+		if !bytes.Equal(downloaded.Bytes(), resultsBytes(t, s.cfg.DataDir, id)) {
+			t.Fatalf("batch %s: downloaded results differ from the on-disk artifact", id)
+		}
+		if !bytes.Equal(downloaded.Bytes(), want) {
+			t.Fatalf("batch %s: daemon results differ from a direct sweep run:\ndaemon:\n%s\ndirect:\n%s",
+				id, downloaded.Bytes(), want)
+		}
 	}
-	if !bytes.Equal(downloaded.Bytes(), direct.Bytes()) {
-		t.Fatalf("daemon results differ from a direct sweep run:\ndaemon:\n%s\ndirect:\n%s",
-			downloaded.Bytes(), direct.Bytes())
+
+	// Cross-batch dedup: 1+consumers batches of the same plan ran each
+	// distinct job exactly once.
+	if p := s.Engine().Stats(); p.Simulated+p.Failed != len(plan) {
+		t.Fatalf("engine ran %d jobs (%d ok, %d failed) for %d distinct keys across %d batches",
+			p.Simulated+p.Failed, p.Simulated, p.Failed, len(plan), consumers+1)
 	}
 }

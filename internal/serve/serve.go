@@ -4,10 +4,14 @@
 // A client POSTs a batch of job keys; the service dedupes them through the
 // engine's fingerprint-keyed memo cache (across batches and tenants —
 // every distinct simulation runs at most once per daemon), executes them
-// on a supervised worker pool, streams per-job completion events over SSE,
-// and persists three files per batch (manifest, streamed journal, final
-// results) so a killed daemon resumes every in-flight batch at startup
-// without resimulating completed jobs.
+// on a supervised worker pool, and persists three files per batch
+// (manifest, streamed journal, final results) so a killed daemon resumes
+// every in-flight batch at startup without resimulating completed jobs.
+// Clients follow a batch by polling its status and download the results
+// file once it settles. Every line of the journal and results files is a
+// sweep.Record: the journal is appended through sweep.OpenJournal, and both
+// replay through sweep.ReadJournal — the same path cmd/reproduce -resume
+// uses.
 //
 // Determinism contract: the results journal of a batch is a pure function
 // of its deduplicated, canonically ordered key set. Submitting the same
@@ -44,9 +48,6 @@ type Config[R any] struct {
 	Workers int
 	// Supervisor tunes the worker restart policy.
 	Supervisor SupervisorConfig
-	// Describe, when non-nil, condenses a successful result into the
-	// summary carried by its SSE event.
-	Describe func(R) *JobSummary
 	// Logf, when non-nil, receives operational log lines.
 	Logf func(format string, args ...any)
 }
@@ -59,18 +60,12 @@ type Service[R any] struct {
 	eng   *sweep.Engine[R]
 	sup   *Supervisor
 
-	// epoch is this daemon life's boot counter (Store.BootEpoch), stamped
-	// on every SSE event so reconnecting clients can detect that a restart
-	// renumbered the history they were following. Immutable after New.
-	epoch int64
-
 	// reg is the service-level metrics registry (jobs, batches,
 	// supervisor health). The registry type is single-threaded by design,
 	// so every touch — registration, increments, snapshots — happens
 	// under regMu.
 	regMu       sync.Mutex
 	reg         *metrics.Registry
-	lastSnap    metrics.Snapshot
 	jobsOK      *metrics.Counter
 	jobsFailed  *metrics.Counter
 	batchesIn   *metrics.Counter
@@ -79,7 +74,7 @@ type Service[R any] struct {
 	mu      sync.Mutex
 	batches map[string]*batch
 	order   []string                   // batch IDs in creation order
-	jobs    map[string]json.RawMessage // fingerprint → marshaled JobRecord
+	jobs    map[string]json.RawMessage // fingerprint → marshaled sweep.Record
 }
 
 // New opens the data directory, resumes every stored batch, and starts
@@ -97,14 +92,9 @@ func New[R any](cfg Config[R]) (*Service[R], error) {
 	if err != nil {
 		return nil, err
 	}
-	epoch, err := store.BootEpoch()
-	if err != nil {
-		return nil, err
-	}
 	s := &Service[R]{
 		cfg:     cfg,
 		store:   store,
-		epoch:   epoch,
 		batches: make(map[string]*batch),
 		jobs:    make(map[string]json.RawMessage),
 	}
@@ -158,10 +148,6 @@ func (s *Service[R]) Close() {
 		b.closeJournal()
 	}
 }
-
-// Epoch returns this daemon life's boot counter — the epoch stamped on
-// every SSE event it emits.
-func (s *Service[R]) Epoch() int64 { return s.epoch }
 
 // Engine exposes the underlying sweep engine (tests, stats).
 func (s *Service[R]) Engine() *sweep.Engine[R] { return s.eng }

@@ -11,17 +11,13 @@ import (
 //	POST /v1/batches                 submit a batch            → 202 BatchStatus
 //	GET  /v1/batches/{id}            batch status              → 200 BatchStatus
 //	GET  /v1/batches/{id}/results    results journal (JSONL)   → 200 once done
-//	GET  /v1/batches/{id}/events     live SSE event stream; resumable via
-//	                                 Last-Event-ID "epoch.seq" (or
-//	                                 ?epoch=&after=) with gap detection
-//	GET  /v1/jobs/{fingerprint}      one settled job's record  → 200 JobRecord
+//	GET  /v1/jobs/{fingerprint}      one settled job's record  → 200 sweep.Record
 //	GET  /v1/healthz                 daemon health
 func (s *Service[R]) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/batches", s.handleSubmit)
 	mux.HandleFunc("GET /v1/batches/{id}", s.handleBatch)
 	mux.HandleFunc("GET /v1/batches/{id}/results", s.handleResults)
-	mux.HandleFunc("GET /v1/batches/{id}/events", s.handleEvents)
 	mux.HandleFunc("GET /v1/jobs/{fingerprint}", s.handleJob)
 	mux.HandleFunc("GET /v1/healthz", s.handleHealth)
 	return mux
@@ -102,75 +98,6 @@ func (s *Service[R]) handleJob(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusAccepted, "job "+fp+" is in flight")
 	default:
 		writeErr(w, http.StatusNotFound, "unknown job "+fp)
-	}
-}
-
-func (s *Service[R]) handleEvents(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	s.mu.Lock()
-	b, ok := s.batches[id]
-	s.mu.Unlock()
-	if !ok {
-		writeErr(w, http.StatusNotFound, "unknown batch "+id)
-		return
-	}
-	flusher, ok := w.(http.Flusher)
-	if !ok {
-		writeErr(w, http.StatusInternalServerError, "response writer cannot stream")
-		return
-	}
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	w.Header().Set("Connection", "keep-alive")
-
-	// Reconnect watermark: "epoch.seq" from the standard Last-Event-ID
-	// header, or split across ?epoch=&after= query parameters (the header
-	// wins). No watermark means a fresh subscription.
-	epoch, after := parseWatermark(r.Header.Get("Last-Event-ID"))
-	if epoch == 0 && after == 0 {
-		q := r.URL.Query()
-		epoch, after = parseWatermark(q.Get("epoch") + "." + q.Get("after"))
-	}
-
-	history, live := s.subscribe(b)
-	defer s.unsubscribe(b, live)
-	if epoch == s.epoch && after <= len(history) {
-		// Same daemon life and the watermark is a real position: continue
-		// the stream from just past it. (Seqs are 1..len(history) in
-		// append order, so the suffix is simply history[after:].)
-		history = history[after:]
-	} else if epoch != 0 || after != 0 {
-		// The watermark does not name a point in this stream — the daemon
-		// restarted and renumbered its history, or the client is ahead of
-		// anything recorded. Surface the discontinuity instead of silently
-		// replaying from zero, then send the full rebuilt history.
-		gap := Event{Epoch: s.epoch, Type: EventGap, Batch: id, Since: after}
-		if writeSSE(w, gap) != nil {
-			return
-		}
-	}
-	for _, ev := range history {
-		if writeSSE(w, ev) != nil {
-			return
-		}
-	}
-	flusher.Flush()
-	if live == nil {
-		return // batch already terminal: the history ends with its batch event
-	}
-	for {
-		select {
-		case ev, open := <-live:
-			if !open {
-				return // terminal event delivered (or subscriber too slow)
-			}
-			if writeSSE(w, ev) != nil {
-				return
-			}
-			flusher.Flush()
-		case <-r.Context().Done():
-			return
-		}
 	}
 }
 

@@ -39,10 +39,7 @@ func newTestService(t *testing.T, dir string, mut func(*Config[testResult])) *Se
 		Run:     testRun,
 		DataDir: dir,
 		Workers: 4,
-		Describe: func(r testResult) *JobSummary {
-			return &JobSummary{ExecCycles: uint64(r.N)}
-		},
-		Logf: t.Logf,
+		Logf:    t.Logf,
 	}
 	if mut != nil {
 		mut(&cfg)
@@ -55,41 +52,22 @@ func newTestService(t *testing.T, dir string, mut func(*Config[testResult])) *Se
 	return s
 }
 
-// waitBatch blocks until the batch reaches a terminal state, via its own
-// event stream (no polling).
+// waitBatch polls the batch until it leaves StateRunning.
 func waitBatch[R any](t *testing.T, s *Service[R], id string) BatchStatus {
 	t.Helper()
-	s.mu.Lock()
-	b, ok := s.batches[id]
-	s.mu.Unlock()
-	if !ok {
-		t.Fatalf("unknown batch %s", id)
-	}
-	history, live := s.subscribe(b)
-	defer s.unsubscribe(b, live)
-	for _, ev := range history {
-		if ev.Type == EventBatch {
-			st, _ := s.Batch(id)
+	deadline := time.Now().Add(30 * time.Second)
+	for {
+		st, ok := s.Batch(id)
+		if !ok {
+			t.Fatalf("unknown batch %s", id)
+		}
+		if st.State != StateRunning {
 			return st
 		}
-	}
-	if live == nil {
-		t.Fatalf("batch %s: no terminal event in history yet already terminal", id)
-	}
-	timeout := time.After(30 * time.Second)
-	for {
-		select {
-		case ev, open := <-live:
-			if !open {
-				t.Fatalf("batch %s: event stream closed before terminal event", id)
-			}
-			if ev.Type == EventBatch {
-				st, _ := s.Batch(id)
-				return st
-			}
-		case <-timeout:
-			t.Fatalf("batch %s never settled", id)
+		if time.Now().After(deadline) {
+			t.Fatalf("batch %s never settled: %+v", id, st)
 		}
+		time.Sleep(time.Millisecond)
 	}
 }
 
@@ -190,11 +168,11 @@ func TestDeterminismGate(t *testing.T) {
 	// The two journaled jobs must have been replayed, not resimulated.
 	var replayedOK int
 	for _, line := range freshLines[:2] {
-		var rec JobRecord
+		var rec sweep.Record
 		if err := json.Unmarshal(line, &rec); err != nil {
 			t.Fatal(err)
 		}
-		if rec.Status == JobOK {
+		if rec.Status == sweep.StatusOK {
 			replayedOK++
 		}
 	}
@@ -236,11 +214,11 @@ func TestRestartRestoresSettledBatches(t *testing.T) {
 	if !settled {
 		t.Fatal("settled job unknown after restart")
 	}
-	var rec JobRecord
+	var rec sweep.Record
 	if err := json.Unmarshal(raw, &rec); err != nil {
 		t.Fatal(err)
 	}
-	if rec.Status != JobOK || !strings.Contains(string(rec.Result), "AES/bdi") {
+	if rec.Status != sweep.StatusOK || !strings.Contains(string(rec.Result), "AES/bdi") {
 		t.Fatalf("restored job record = %+v", rec)
 	}
 
@@ -280,11 +258,11 @@ func TestPanicIsolation(t *testing.T) {
 	if !settled {
 		t.Fatal("panicked job not settled")
 	}
-	var rec JobRecord
+	var rec sweep.Record
 	if err := json.Unmarshal(raw, &rec); err != nil {
 		t.Fatal(err)
 	}
-	if rec.Status != JobFailed || rec.Error != "job panicked: deliberate test panic" {
+	if rec.Status != sweep.StatusFailed || rec.Error != "job panicked: deliberate test panic" {
 		t.Fatalf("panicked record = %+v, want deterministic panic error", rec)
 	}
 

@@ -1,16 +1,16 @@
 package serve
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
+
+	"mgpucompress/internal/sweep"
 )
 
 // Store is the service's on-disk state: one directory per batch under
@@ -70,27 +70,6 @@ func (st *Store) journalPath(id string) string {
 }
 func (st *Store) resultsPath(id string) string {
 	return filepath.Join(st.batchDir(id), "results.jsonl")
-}
-
-// BootEpoch increments and persists the store's boot counter
-// (<dir>/epoch), returning the new value. Each daemon life gets a distinct
-// epoch; SSE events carry it so a client reconnecting across a restart can
-// tell a genuine stream continuation from a rebuilt history (gap
-// detection). A missing or corrupt file restarts the counter at 1 — epochs
-// only need to differ across lives, not be gapless.
-func (st *Store) BootEpoch() (int64, error) {
-	path := filepath.Join(st.dir, "epoch")
-	var epoch int64
-	if b, err := os.ReadFile(path); err == nil {
-		if v, perr := strconv.ParseInt(strings.TrimSpace(string(b)), 10, 64); perr == nil && v > 0 {
-			epoch = v
-		}
-	}
-	epoch++
-	if err := atomicWrite(path, []byte(strconv.FormatInt(epoch, 10)+"\n")); err != nil {
-		return 0, fmt.Errorf("serve: writing boot epoch: %w", err)
-	}
-	return epoch, nil
 }
 
 // NewBatchID reserves the next batch ID.
@@ -160,7 +139,7 @@ func (st *Store) OpenResults(id string) (io.ReadCloser, error) {
 // WriteResults persists the canonical-order record set atomically. The
 // bytes are a pure function of the records, so equal batches produce
 // byte-identical files no matter how they were scheduled.
-func (st *Store) WriteResults(id string, recs []JobRecord) error {
+func (st *Store) WriteResults(id string, recs []sweep.Record) error {
 	var buf []byte
 	for _, rec := range recs {
 		line, err := json.Marshal(rec)
@@ -183,60 +162,10 @@ func atomicWrite(path string, b []byte) error {
 	return os.Rename(tmp, path)
 }
 
-// maxJournalLine bounds one journal record (matches the sweep engine's
-// resume limit).
-const maxJournalLine = 64 << 20
-
-// ReadJournal replays a batch journal, returning every intact record in
-// write (completion) order. Corrupt or truncated lines — the tail of a
-// killed daemon — are skipped, never fatal; a missing journal is an empty
-// batch. Duplicate fingerprints keep the first record, so a journal that
-// accumulated duplicates across repeated crash/resume cycles replays to
-// the same state.
-func (st *Store) ReadJournal(id string) ([]JobRecord, error) {
-	return readRecords(st.journalPath(id))
-}
-
-// ReadResults replays a settled batch's results journal (same tolerance
-// rules as ReadJournal).
-func (st *Store) ReadResults(id string) ([]JobRecord, error) {
-	return readRecords(st.resultsPath(id))
-}
-
-func readRecords(path string) ([]JobRecord, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, nil
-		}
-		return nil, err
-	}
-	defer f.Close()
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 1<<20), maxJournalLine)
-	var out []JobRecord
-	seen := make(map[string]bool)
-	for sc.Scan() {
-		var rec JobRecord
-		if err := json.Unmarshal(sc.Bytes(), &rec); err != nil {
-			continue
-		}
-		// Distrust the stored fingerprint (same rule as engine resume): a
-		// record from an older key schema must not be replayed under a
-		// fingerprint its key no longer hashes to.
-		if rec.Key.Fingerprint() != rec.Fingerprint || seen[rec.Fingerprint] {
-			continue
-		}
-		seen[rec.Fingerprint] = true
-		out = append(out, rec)
-	}
-	return out, sc.Err()
-}
-
-// OpenReplayReader opens the raw record stream that best describes the
-// batch — the results journal once the batch settled, else the streamed
-// journal — for feeding the sweep engine's Resume (successful records are
-// sweep.Record-compatible). A batch with neither file reads as empty.
+// OpenReplayReader opens the record stream that best describes the batch —
+// the results file once the batch settled, else the streamed journal — for
+// sweep.ReadJournal and the engine's Resume. A batch with neither file
+// reads as empty.
 func (st *Store) OpenReplayReader(id string) (io.ReadCloser, error) {
 	if st.HasResults(id) {
 		return os.Open(st.resultsPath(id))
@@ -246,76 +175,4 @@ func (st *Store) OpenReplayReader(id string) (io.ReadCloser, error) {
 		return io.NopCloser(strings.NewReader("")), nil
 	}
 	return f, err
-}
-
-// BatchJournal is the streamed, append-only completion log of one batch.
-// Append marshals one record per line and flushes it to the OS before
-// returning, so a killed daemon can lose at most the line being written
-// (the fsync tradeoff is documented on sweep.Config.Journal: process death
-// loses nothing, host death may drop a tail that resume re-runs).
-type BatchJournal struct {
-	mu sync.Mutex
-	f  *os.File
-	bw *bufio.Writer
-}
-
-// OpenJournal opens (creating if needed) the batch journal for appending.
-// A torn final line from a previous crash is terminated first so the next
-// record starts clean.
-func (st *Store) OpenJournal(id string) (*BatchJournal, error) {
-	if err := os.MkdirAll(st.batchDir(id), 0o755); err != nil {
-		return nil, err
-	}
-	f, err := os.OpenFile(st.journalPath(id), os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, err
-	}
-	if tail, err := lastByte(f); err != nil {
-		f.Close()
-		return nil, err
-	} else if tail != 0 && tail != '\n' {
-		if _, err := f.Write([]byte("\n")); err != nil {
-			f.Close()
-			return nil, err
-		}
-	}
-	return &BatchJournal{f: f, bw: bufio.NewWriter(f)}, nil
-}
-
-// lastByte returns the file's final byte (0 when empty).
-func lastByte(f *os.File) (byte, error) {
-	st, err := f.Stat()
-	if err != nil || st.Size() == 0 {
-		return 0, err
-	}
-	buf := make([]byte, 1)
-	if _, err := f.ReadAt(buf, st.Size()-1); err != nil {
-		return 0, err
-	}
-	return buf[0], nil
-}
-
-// Append writes one record and flushes it through to the OS.
-func (j *BatchJournal) Append(rec JobRecord) error {
-	line, err := json.Marshal(rec)
-	if err != nil {
-		return err
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if _, err := j.bw.Write(append(line, '\n')); err != nil {
-		return err
-	}
-	return j.bw.Flush()
-}
-
-// Close flushes and closes the journal file.
-func (j *BatchJournal) Close() error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if err := j.bw.Flush(); err != nil {
-		j.f.Close()
-		return err
-	}
-	return j.f.Close()
 }

@@ -15,12 +15,12 @@ func testKey(workload, policy string, scale int) sweep.JobKey {
 	return sweep.JobKey{Workload: workload, Policy: policy, Scale: scale}
 }
 
-func testRecord(k sweep.JobKey) JobRecord {
-	return JobRecord{
+func testRecord(k sweep.JobKey) sweep.Record {
+	return sweep.Record{
 		Fingerprint: k.Fingerprint(),
 		Seed:        k.Seed(),
 		Key:         k,
-		Status:      JobOK,
+		Status:      sweep.StatusOK,
 		Result:      json.RawMessage(`{"value":"` + k.Workload + `"}`),
 	}
 }
@@ -92,91 +92,6 @@ func TestManifestRoundTrip(t *testing.T) {
 	}
 }
 
-func TestJournalTornTailTolerated(t *testing.T) {
-	st, err := OpenStore(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	const id = "b000001"
-	if err := os.MkdirAll(st.batchDir(id), 0o755); err != nil {
-		t.Fatal(err)
-	}
-	good := testRecord(testKey("AES", "fpc", 1))
-	line, _ := json.Marshal(good)
-	// A journal whose final line was cut mid-record by a crash.
-	torn := append(append([]byte{}, line...), '\n')
-	torn = append(torn, []byte(`{"fingerprint":"deadbeef","seed":12,"ke`)...)
-	if err := os.WriteFile(st.journalPath(id), torn, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	recs, err := st.ReadJournal(id)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != 1 || recs[0].Fingerprint != good.Fingerprint {
-		t.Fatalf("ReadJournal over torn tail = %+v, want just the intact record", recs)
-	}
-
-	// Appending after the crash must start on a fresh line, not glue the new
-	// record onto the torn tail.
-	j, err := st.OpenJournal(id)
-	if err != nil {
-		t.Fatal(err)
-	}
-	next := testRecord(testKey("BS", "bdi", 2))
-	if err := j.Append(next); err != nil {
-		t.Fatal(err)
-	}
-	if err := j.Close(); err != nil {
-		t.Fatal(err)
-	}
-	recs, err = st.ReadJournal(id)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != 2 || recs[1].Fingerprint != next.Fingerprint {
-		t.Fatalf("journal after post-crash append = %+v, want 2 records", recs)
-	}
-}
-
-func TestReadJournalDistrustsStoredFingerprints(t *testing.T) {
-	st, err := OpenStore(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	const id = "b000001"
-	if err := os.MkdirAll(st.batchDir(id), 0o755); err != nil {
-		t.Fatal(err)
-	}
-	good := testRecord(testKey("AES", "fpc", 1))
-	stale := testRecord(testKey("BS", "bdi", 2))
-	stale.Fingerprint = "0000000000000000" // key no longer hashes to this
-	dup := good                            // duplicate fingerprint: first record wins
-	dup.Result = json.RawMessage(`{"value":"SECOND"}`)
-
-	var buf bytes.Buffer
-	for _, rec := range []JobRecord{good, stale, dup} {
-		line, _ := json.Marshal(rec)
-		buf.Write(line)
-		buf.WriteByte('\n')
-	}
-	if err := os.WriteFile(st.journalPath(id), buf.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	recs, err := st.ReadJournal(id)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != 1 || recs[0].Fingerprint != good.Fingerprint {
-		t.Fatalf("ReadJournal = %+v, want only the first intact record", recs)
-	}
-	if string(recs[0].Result) != string(good.Result) {
-		t.Fatalf("duplicate fingerprint replaced the first record: %s", recs[0].Result)
-	}
-}
-
 func TestWriteResultsPureAndAtomic(t *testing.T) {
 	st, err := OpenStore(t.TempDir())
 	if err != nil {
@@ -186,7 +101,7 @@ func TestWriteResultsPureAndAtomic(t *testing.T) {
 	if err := os.MkdirAll(st.batchDir(id), 0o755); err != nil {
 		t.Fatal(err)
 	}
-	recs := []JobRecord{testRecord(testKey("AES", "fpc", 1)), testRecord(testKey("BS", "bdi", 2))}
+	recs := []sweep.Record{testRecord(testKey("AES", "fpc", 1)), testRecord(testKey("BS", "bdi", 2))}
 	if err := st.WriteResults(id, recs); err != nil {
 		t.Fatal(err)
 	}
@@ -212,8 +127,8 @@ func TestWriteResultsPureAndAtomic(t *testing.T) {
 		t.Fatal("HasResults false after WriteResults")
 	}
 
-	back, err := st.ReadResults(id)
-	if err != nil {
+	var back []sweep.Record
+	if err := sweep.ReadJournal(bytes.NewReader(second), func(rec sweep.Record) { back = append(back, rec) }); err != nil {
 		t.Fatal(err)
 	}
 	if len(back) != 2 || back[0].Fingerprint != recs[0].Fingerprint {
@@ -264,23 +179,31 @@ func TestOpenReplayReaderPrefersResults(t *testing.T) {
 	}
 }
 
+// TestJournalFilesLiveUnderBatchDir: a batch streams its records to
+// <data>/batches/<id>/journal.jsonl as jobs settle, next to its manifest.
 func TestJournalFilesLiveUnderBatchDir(t *testing.T) {
 	dir := t.TempDir()
-	st, err := OpenStore(dir)
+	s := newTestService(t, dir, nil)
+	st, err := s.Submit(BatchRequest{Keys: []sweep.JobKey{testKey("AES", "", 0), testKey("FAIL", "", 1)}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	j, err := st.OpenJournal("b000007")
+	waitBatch(t, s, st.ID)
+	for _, name := range []string{"manifest.json", "journal.jsonl"} {
+		if _, err := os.Stat(filepath.Join(dir, "batches", st.ID, name)); err != nil {
+			t.Fatalf("%s not where expected: %v", name, err)
+		}
+	}
+	f, err := os.Open(filepath.Join(dir, "batches", st.ID, "journal.jsonl"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := j.Append(testRecord(testKey("AES", "", 0))); err != nil {
+	defer f.Close()
+	statuses := map[string]string{}
+	if err := sweep.ReadJournal(f, func(rec sweep.Record) { statuses[rec.Key.Workload] = rec.Status }); err != nil {
 		t.Fatal(err)
 	}
-	if err := j.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(filepath.Join(dir, "batches", "b000007", "journal.jsonl")); err != nil {
-		t.Fatalf("journal not where expected: %v", err)
+	if statuses["AES"] != sweep.StatusOK || statuses["FAIL"] != sweep.StatusFailed || len(statuses) != 2 {
+		t.Fatalf("journal records = %v, want AES ok and FAIL failed", statuses)
 	}
 }

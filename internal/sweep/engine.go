@@ -1,7 +1,6 @@
 package sweep
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -29,7 +28,8 @@ type Config[R any] struct {
 	// written, never lose an already-completed line, and Resume tolerates a
 	// truncated tail. The engine does not fsync: an OS or power crash may
 	// drop the tail of the file, which resuming repairs by re-running the
-	// missing jobs.
+	// missing jobs. OpenJournal opens a file that follows this policy and
+	// repairs a torn tail before the first append.
 	Journal io.Writer
 	// OnProgress, when non-nil, is called with a stats snapshot after every
 	// job completes (from the completing worker's goroutine, serialized).
@@ -63,14 +63,6 @@ func (p Progress) String() string {
 		s += fmt.Sprintf(", %d failed", p.Failed)
 	}
 	return s + fmt.Sprintf(") in %s", p.Elapsed.Round(time.Millisecond))
-}
-
-// Record is one line of the JSONL journal.
-type Record struct {
-	Fingerprint string          `json:"fingerprint"`
-	Seed        int64           `json:"seed"`
-	Key         JobKey          `json:"key"`
-	Result      json.RawMessage `json:"result"`
 }
 
 // job is one cache entry; done is closed once res/err are final.
@@ -278,68 +270,37 @@ func (e *Engine[R]) writeRecord(fp string, key JobKey, res R) error {
 	if err != nil {
 		return err
 	}
-	line, err := json.Marshal(Record{
-		Fingerprint: fp,
-		Seed:        key.Seed(),
-		Key:         key,
-		Result:      payload,
-	})
-	if err != nil {
-		return err
-	}
 	e.journalMu.Lock()
 	defer e.journalMu.Unlock()
-	if _, err := e.journal.Write(append(line, '\n')); err != nil {
-		return err
-	}
-	if f, ok := e.journal.(Flusher); ok {
-		return f.Flush()
-	}
-	return nil
+	return appendRecord(e.journal, Record{Fingerprint: fp, Seed: key.Seed(), Key: key, Result: payload})
 }
 
-// Flusher is the subset of bufio.Writer the engine uses to push buffered
-// journal bytes to the OS after every record (see Config.Journal).
-type Flusher interface{ Flush() error }
-
-// maxRecordBytes bounds one journal line; a Fig. 1 series with 500 samples
-// marshals well under this.
-const maxRecordBytes = 64 << 20
-
-// Resume replays a JSONL journal into the cache: every intact record
-// becomes a completed entry, so a subsequent Get of the same fingerprint is
-// served without re-running. Corrupt or truncated lines — the tail of a
-// killed sweep — are skipped, not fatal. Returns the number of jobs loaded.
+// Resume replays a JSONL journal (ReadJournal) into the cache: every intact
+// successful record becomes a completed entry, so a subsequent Get of the
+// same fingerprint is served without re-running. Failed records (sweepd
+// journals carry them) are skipped, so their jobs run again. Returns the
+// number of jobs loaded.
 func (e *Engine[R]) Resume(r io.Reader) (int, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 1<<20), maxRecordBytes)
 	loaded := 0
-	for sc.Scan() {
-		var rec Record
-		if err := json.Unmarshal(sc.Bytes(), &rec); err != nil {
-			continue // partial tail line from an interrupted run
-		}
-		// Distrust the stored fingerprint: recompute from the key so a
-		// journal written by an older key schema cannot poison the cache.
-		fp := rec.Key.Fingerprint()
-		if rec.Fingerprint != fp {
-			continue
+	err := ReadJournal(r, func(rec Record) {
+		if rec.Status == StatusFailed {
+			return
 		}
 		var res R
 		if err := json.Unmarshal(rec.Result, &res); err != nil {
-			continue
+			return
 		}
 		j := &job[R]{done: make(chan struct{}), key: rec.Key, res: res}
 		close(j.done)
 		e.mu.Lock()
-		if _, ok := e.jobs[fp]; !ok {
-			e.jobs[fp] = j
+		if _, ok := e.jobs[rec.Fingerprint]; !ok {
+			e.jobs[rec.Fingerprint] = j
 			e.stats.Scheduled++
 			e.stats.Completed++
 			e.stats.Resumed++
 			loaded++
 		}
 		e.mu.Unlock()
-	}
-	return loaded, sc.Err()
+	})
+	return loaded, err
 }

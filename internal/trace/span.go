@@ -114,32 +114,6 @@ func (l *Log) Spans() []Span {
 	return out
 }
 
-// Summary condenses a span set to the numbers a live stream carries per
-// completed job: how many spans on how many tracks, their summed duration,
-// and the timeline extent. It is a pure function of the spans, so equal
-// jobs summarize identically.
-type Summary struct {
-	Spans      int      `json:"spans"`
-	Tracks     int      `json:"tracks"`
-	TotalTicks uint64   `json:"total_ticks"`
-	MaxEnd     sim.Time `json:"max_end"`
-}
-
-// Summarize folds the spans into a Summary.
-func Summarize(spans []Span) Summary {
-	s := Summary{Spans: len(spans)}
-	tracks := make(map[string]bool)
-	for _, sp := range spans {
-		tracks[sp.Track] = true
-		s.TotalTicks += uint64(sp.End - sp.Start)
-		if sp.End > s.MaxEnd {
-			s.MaxEnd = sp.End
-		}
-	}
-	s.Tracks = len(tracks)
-	return s
-}
-
 // Process is one timeline process in a Chrome trace: a named span set. A
 // single simulation exports one process; a sweep exports one per job.
 type Process struct {

@@ -165,21 +165,3 @@ func TestExportChrome(t *testing.T) {
 		t.Error("ExportChrome is not deterministic for equal input")
 	}
 }
-
-func TestSummarize(t *testing.T) {
-	spans := []Span{
-		{Track: "kernel", Name: "k0", Start: 10, End: 30},
-		{Track: "kernel", Name: "k1", Start: 40, End: 45},
-		{Track: "fabric", Name: "wr", Start: 0, End: 100},
-	}
-	s := Summarize(spans)
-	if s.Spans != 3 || s.Tracks != 2 {
-		t.Fatalf("Summarize = %+v, want 3 spans on 2 tracks", s)
-	}
-	if s.TotalTicks != 20+5+100 || s.MaxEnd != 100 {
-		t.Fatalf("Summarize = %+v, want total 125 max_end 100", s)
-	}
-	if z := Summarize(nil); z != (Summary{}) {
-		t.Fatalf("Summarize(nil) = %+v, want zero", z)
-	}
-}
