@@ -104,7 +104,7 @@ bench:
 # longer compile or crash — timings are meaningless at -benchtime=1x.
 bench-smoke:
 	BENCH_SCALE=1 go test -run='^$$' -bench=. -benchtime=1x -benchmem \
-		./internal/bitstream ./internal/comp ./internal/sim
+		./internal/bitstream ./internal/comp ./internal/platform ./internal/sim
 
 # End-to-end gate for the sweep service: build the real sweepd binary, SIGKILL
 # it mid-batch, restart it on the same data directory, and require the resumed

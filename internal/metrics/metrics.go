@@ -22,7 +22,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"path"
 	"sort"
 	"strings"
 )
@@ -208,34 +207,135 @@ func (s Snapshot) Value(path string) float64 {
 	return smp.Value
 }
 
-// match reports whether a sample path matches a slash-structured glob
-// pattern ("gpu*/l1_*/hits"); a '*' never crosses a path separator.
-func match(pattern, p string) bool {
-	ok, err := path.Match(pattern, p)
-	return err == nil && ok
+// matchSegment reports whether one path segment matches one pattern segment.
+// A mismatch after a '*' retries with the star swallowing one more byte, so
+// the loop is linear in practice for the one- and two-star segments of
+// metric patterns.
+func matchSegment(pat, seg string) bool {
+	i, j := 0, 0
+	star, retry := -1, 0 // pattern index after the last '*', seg index it resumes from
+	for j < len(seg) {
+		switch {
+		case i < len(pat) && pat[i] == '*':
+			i++
+			star, retry = i, j
+		case i < len(pat) && pat[i] == seg[j]:
+			i++
+			j++
+		case star >= 0:
+			retry++
+			i, j = star, retry
+		default:
+			return false
+		}
+	}
+	for i < len(pat) && pat[i] == '*' {
+		i++
+	}
+	return i == len(pat)
 }
 
 // SumMatch sums the measurements of every sample whose path matches the
-// glob pattern (for distributions, their sums).
+// glob pattern (for distributions, their sums). A pattern such as
+// "gpu*/l1_*/hits" matches a path with as many segments whose segments match
+// one by one, where '*' matches any run of characters inside a segment
+// (never a '/') and every other byte is literal: path.Match on such
+// patterns.
 func (s Snapshot) SumMatch(pattern string) float64 {
-	total := 0.0
-	for _, smp := range s {
-		if match(pattern, smp.Path) {
-			total += smp.Value
-		}
-	}
-	return total
+	sum, _ := s.tallyOne(pattern)
+	return sum
 }
 
 // CountMatch returns how many sample paths match the glob pattern.
 func (s Snapshot) CountMatch(pattern string) int {
-	n := 0
-	for _, smp := range s {
-		if match(pattern, smp.Path) {
-			n++
+	_, n := s.tallyOne(pattern)
+	return n
+}
+
+// tallyOne is Tally for a single pattern.
+func (s Snapshot) tallyOne(pattern string) (float64, int) {
+	var sum [1]float64
+	var n [1]int
+	s.Tally(NewGlobs(pattern), sum[:], n[:])
+	return sum[0], n[0]
+}
+
+// Globs is a fixed list of patterns compiled for Tally: each pattern is split
+// into segments once, and patterns ending in a literal leaf ("hits") are
+// indexed by it, so a path is only matched against the patterns that can
+// take it.
+type Globs struct {
+	globs  []glob
+	byLeaf map[string][]int // literal leaf -> indexes of the globs ending in it
+	wild   []int            // indexes of the globs whose leaf holds a '*'
+}
+
+// glob is one pattern split into segments.
+type glob struct{ segs []string }
+
+// NewGlobs compiles patterns; Tally reports on them in this order.
+func NewGlobs(patterns ...string) *Globs {
+	g := &Globs{byLeaf: make(map[string][]int)}
+	for k, pattern := range patterns {
+		gl := glob{segs: strings.Split(pattern, "/")}
+		g.globs = append(g.globs, gl)
+		if leaf := gl.segs[len(gl.segs)-1]; !strings.Contains(leaf, "*") {
+			g.byLeaf[leaf] = append(g.byLeaf[leaf], k)
+		} else {
+			g.wild = append(g.wild, k)
 		}
 	}
-	return n
+	return g
+}
+
+// match reports whether a path already split into segments matches.
+func (gl *glob) match(segs []string) bool {
+	if len(segs) != len(gl.segs) {
+		return false
+	}
+	for i, seg := range segs {
+		if !matchSegment(gl.segs[i], seg) {
+			return false
+		}
+	}
+	return true
+}
+
+// Tally is SumMatch and CountMatch for every pattern of g in one walk of the
+// snapshot: each candidate path is split into segments once, and its
+// measurement is added to sums[k] and counted in counts[k] for every pattern
+// k it matches. Sums accumulate in snapshot order, so sums[k] is
+// bit-identical to SumMatch of pattern k. sums and counts need one entry per
+// pattern and are added to, not reset.
+func (s Snapshot) Tally(g *Globs, sums []float64, counts []int) {
+	var buf [8]string
+	for _, smp := range s {
+		cand := g.byLeaf[smp.Path[strings.LastIndexByte(smp.Path, '/')+1:]]
+		if len(cand) == 0 && len(g.wild) == 0 {
+			continue
+		}
+		segs := splitPath(buf[:0], smp.Path)
+		for _, ks := range [2][]int{cand, g.wild} {
+			for _, k := range ks {
+				if g.globs[k].match(segs) {
+					sums[k] += smp.Value
+					counts[k]++
+				}
+			}
+		}
+	}
+}
+
+// splitPath appends the slash-separated segments of p to segs.
+func splitPath(segs []string, p string) []string {
+	for {
+		seg, rest, more := strings.Cut(p, "/")
+		segs = append(segs, seg)
+		if !more {
+			return segs
+		}
+		p = rest
+	}
 }
 
 // WriteJSON writes the snapshot as indented JSON with a trailing newline —

@@ -40,37 +40,87 @@ type Stats struct {
 	HasRemoteCache    bool   `json:"has_remote_cache,omitempty"`
 }
 
+// The glob sums StatsFromSnapshot takes, by index into statsPatterns.
+const (
+	sumL1Hits = iota
+	sumL1Misses
+	sumL1Coalesced
+	sumL1Bypassed
+	sumL2Hits
+	sumL2Misses
+	sumDRAMReads
+	sumDRAMWrites
+	sumRDMAReadsSent
+	sumRDMAWritesSent
+	sumRDMAReadsServed
+	sumRDMAWritesServed
+	sumWGsRetired
+	sumMemReads
+	sumMemWrites
+	sumL15Hits
+	sumL15Misses
+	numSums
+)
+
+var statsPatterns = [numSums]string{
+	sumL1Hits:      "gpu*/l1_*/hits",
+	sumL1Misses:    "gpu*/l1_*/misses",
+	sumL1Coalesced: "gpu*/l1_*/coalesced",
+	sumL1Bypassed:  "gpu*/l1_*/bypassed",
+	sumL2Hits:      "gpu*/l2_*/hits",
+	sumL2Misses:    "gpu*/l2_*/misses",
+	sumDRAMReads:   "gpu*/dram_*/reads",
+	sumDRAMWrites:  "gpu*/dram_*/writes",
+
+	// "*/rdma/..." covers the per-GPU engines and the host engine.
+	sumRDMAReadsSent:    "*/rdma/reads_sent",
+	sumRDMAWritesSent:   "*/rdma/writes_sent",
+	sumRDMAReadsServed:  "*/rdma/reads_served",
+	sumRDMAWritesServed: "*/rdma/writes_served",
+
+	sumWGsRetired: "gpu*/cu_*/wgs_retired",
+	sumMemReads:   "gpu*/cu_*/mem_reads_issued",
+	sumMemWrites:  "gpu*/cu_*/mem_writes_issued",
+
+	sumL15Hits:   "gpu*/l15/hits",
+	sumL15Misses: "gpu*/l15/misses",
+}
+
+var statsGlobs = metrics.NewGlobs(statsPatterns[:]...)
+
 // StatsFromSnapshot derives the aggregate view from a metrics snapshot,
 // using the registry's hierarchical paths ("gpu1/l2_0/hits") via glob
-// aggregation.
+// aggregation. All glob sums come from one walk of the snapshot
+// (metrics.Snapshot.Tally), bit-identical to one SumMatch per pattern.
 func StatsFromSnapshot(s metrics.Snapshot) Stats {
+	var sum [numSums]float64
+	var count [numSums]int
+	s.Tally(statsGlobs, sum[:], count[:])
 	st := Stats{
 		ExecCycles: uint64(s.Value("sim/cycles")),
 
-		L1Hits:      uint64(s.SumMatch("gpu*/l1_*/hits")),
-		L1Misses:    uint64(s.SumMatch("gpu*/l1_*/misses")),
-		L1Coalesced: uint64(s.SumMatch("gpu*/l1_*/coalesced")),
-		L1Bypassed:  uint64(s.SumMatch("gpu*/l1_*/bypassed")),
-		L2Hits:      uint64(s.SumMatch("gpu*/l2_*/hits")),
-		L2Misses:    uint64(s.SumMatch("gpu*/l2_*/misses")),
-		DRAMReads:   uint64(s.SumMatch("gpu*/dram_*/reads")),
-		DRAMWrites:  uint64(s.SumMatch("gpu*/dram_*/writes")),
+		L1Hits:      uint64(sum[sumL1Hits]),
+		L1Misses:    uint64(sum[sumL1Misses]),
+		L1Coalesced: uint64(sum[sumL1Coalesced]),
+		L1Bypassed:  uint64(sum[sumL1Bypassed]),
+		L2Hits:      uint64(sum[sumL2Hits]),
+		L2Misses:    uint64(sum[sumL2Misses]),
+		DRAMReads:   uint64(sum[sumDRAMReads]),
+		DRAMWrites:  uint64(sum[sumDRAMWrites]),
 
-		// "*/rdma/..." covers the per-GPU engines and the host engine.
-		RDMAReadsSent:    uint64(s.SumMatch("*/rdma/reads_sent")),
-		RDMAWritesSent:   uint64(s.SumMatch("*/rdma/writes_sent")),
-		RDMAReadsServed:  uint64(s.SumMatch("*/rdma/reads_served")),
-		RDMAWritesServed: uint64(s.SumMatch("*/rdma/writes_served")),
+		RDMAReadsSent:    uint64(sum[sumRDMAReadsSent]),
+		RDMAWritesSent:   uint64(sum[sumRDMAWritesSent]),
+		RDMAReadsServed:  uint64(sum[sumRDMAReadsServed]),
+		RDMAWritesServed: uint64(sum[sumRDMAWritesServed]),
 
-		WGsRetired: uint64(s.SumMatch("gpu*/cu_*/wgs_retired")),
-		MemOpsIssued: uint64(s.SumMatch("gpu*/cu_*/mem_reads_issued") +
-			s.SumMatch("gpu*/cu_*/mem_writes_issued")),
+		WGsRetired:     uint64(sum[sumWGsRetired]),
+		MemOpsIssued:   uint64(sum[sumMemReads] + sum[sumMemWrites]),
 		FabricBytes:    uint64(s.Value("fabric/bytes")),
 		FabricMessages: uint64(s.Value("fabric/messages")),
 
-		RemoteCacheHits:   uint64(s.SumMatch("gpu*/l15/hits")),
-		RemoteCacheMisses: uint64(s.SumMatch("gpu*/l15/misses")),
-		HasRemoteCache:    s.CountMatch("gpu*/l15/hits") > 0,
+		RemoteCacheHits:   uint64(sum[sumL15Hits]),
+		RemoteCacheMisses: uint64(sum[sumL15Misses]),
+		HasRemoteCache:    count[sumL15Hits] > 0,
 	}
 	// Same expression the fabrics use (busy/elapsed, averaged over links),
 	// with the divisions in the same order so the floats match bit for bit.

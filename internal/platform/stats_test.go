@@ -3,6 +3,7 @@ package platform
 import (
 	"bytes"
 	"encoding/json"
+	"strings"
 	"testing"
 
 	"mgpucompress/internal/core"
@@ -45,8 +46,17 @@ func TestCollectStatsMatchesDirectAggregation(t *testing.T) {
 		{"adaptive", func(c *Config) {
 			c.NewPolicy = func(int) core.Policy { return core.NewAdaptive(core.Config{}) }
 		}},
+		{"ring", func(c *Config) { c.Fabric.Topology = "ring" }},
+		{"tree", func(c *Config) { c.Fabric.Topology = "tree" }},
+		{"ring-64", func(c *Config) {
+			c.NumGPUs = 64
+			c.Fabric.Topology = "ring"
+		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
+			if testing.Short() && strings.HasSuffix(tc.name, "-64") {
+				t.Skip("64-GPU platform in -short mode")
+			}
 			cfg := testConfig()
 			tc.mut(&cfg)
 			p := runCopy(t, cfg)
@@ -117,3 +127,20 @@ func TestAdaptivePhaseSpansRecorded(t *testing.T) {
 		t.Error("second FinishTrace appended spans")
 	}
 }
+
+// BenchmarkStatsFromSnapshot times the stats view of a 64-GPU ring snapshot,
+// the largest platform the benchmarks build.
+func BenchmarkStatsFromSnapshot(b *testing.B) {
+	cfg := DefaultConfig()
+	cfg.NumGPUs = 64
+	cfg.Fabric.Topology = "ring"
+	p, _ := Build(cfg)
+	snap := p.Metrics.Snapshot()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchStats = StatsFromSnapshot(snap)
+	}
+}
+
+var benchStats Stats

@@ -345,11 +345,11 @@ func FormatNormalized(title, metric string, rows []NormalizedResult) string {
 		}
 		sb.WriteString("\n")
 	}
-	fmt.Fprintf(&sb, "%-6s", "gmean*")
+	fmt.Fprintf(&sb, "%-6s", "mean")
 	for i := range policies {
 		fmt.Fprintf(&sb, " %14.3f", sums[i]/float64(len(benches)))
 	}
-	sb.WriteString("   (*arithmetic mean)\n")
+	sb.WriteString("\n")
 	return sb.String()
 }
 

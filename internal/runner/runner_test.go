@@ -242,6 +242,9 @@ func TestFig5StaticCompressionShapes(t *testing.T) {
 	if !strings.Contains(out, "Fig. 5") {
 		t.Error("FormatNormalized malformed")
 	}
+	if !strings.Contains(out, "\nmean ") || strings.Contains(out, "gmean") {
+		t.Errorf("FormatNormalized must label its arithmetic-mean row \"mean\":\n%s", out)
+	}
 }
 
 func TestFig6AdaptiveShapes(t *testing.T) {

@@ -137,9 +137,9 @@ type Engine struct {
 
 	// Window-scheduling inputs, rebuilt by prepare at the start of each Run
 	// from the link graph (host code may add links between runs).
-	fixedLA Time      // nonzero: fixed window width (WithLookahead)
-	cross   []*Remote // cross-partition links only (src != dst)
-	dist    [][]Time  // all-pairs min cross-partition path latency (closure)
+	fixedLA Time        // nonzero: fixed window width (WithLookahead)
+	out     [][]*Remote // cross-partition links (src != dst), by source index
+	dist    [][]Time    // all-pairs min cross-partition path latency (closure)
 
 	// Window-scheduling telemetry. All counts derive from the deterministic
 	// job list — never from worker scheduling — so snapshots stay
@@ -251,9 +251,9 @@ func (e *Engine) Pending() int {
 // Events at exactly the deadline still run.
 func (e *Engine) SetMaxTime(t Time) { e.maxTime = t }
 
-// prepare rebuilds the window scheduler's link-graph summaries: the list of
-// cross-partition links (cross) and the all-pairs shortest-path closure over
-// them (dist), both with saturating arithmetic. dist bounds how soon any
+// prepare rebuilds the window scheduler's link-graph summaries: the
+// cross-partition links grouped by source (out) and the all-pairs
+// shortest-path closure over them (dist), both with saturating arithmetic. dist bounds how soon any
 // causal chain starting at one partition can reach another, which is what
 // lets a lone partition run far ahead of the fixed window. K is small (GPU
 // count plus one), so the Floyd–Warshall closure is negligible next to a
@@ -263,6 +263,7 @@ func (e *Engine) prepare() {
 	derived := TimeInf
 	if len(e.dist) != k {
 		e.dist = make([][]Time, k)
+		e.out = make([][]*Remote, k)
 		for i := range e.dist {
 			e.dist[i] = make([]Time, k)
 		}
@@ -272,13 +273,13 @@ func (e *Engine) prepare() {
 			e.dist[i][j] = TimeInf
 		}
 		e.dist[i][i] = 0
+		e.out[i] = e.out[i][:0]
 	}
-	e.cross = e.cross[:0]
 	for _, r := range e.remotes {
 		if r.src == r.dst {
 			continue
 		}
-		e.cross = append(e.cross, r)
+		e.out[r.src.idx] = append(e.out[r.src.idx], r)
 		if r.latency < derived {
 			derived = r.latency
 		}
@@ -325,8 +326,9 @@ func (e *Engine) Run() error {
 	e.prepare()
 	defer e.stopWorkers()
 
+	// Only the window's jobs dispatch, so only they can emit cross traffic,
+	// fail or pause: the barrier looks at e.jobs, never at every partition.
 	for {
-		e.drainRemotes()
 		limit, ok := e.nextWindow()
 		if !ok {
 			return nil
@@ -336,7 +338,7 @@ func (e *Engine) Run() error {
 		if err := e.windowError(); err != nil {
 			return err
 		}
-		for _, p := range e.parts {
+		for _, p := range e.jobs {
 			if p.stopped {
 				return nil
 			}
@@ -365,35 +367,29 @@ func (e *Engine) RunUntil(t Time) error {
 // the minimum of those per-link bounds; events created inside the window
 // land at or past the limit, never inside it. Every bound is at least
 // head+latency, so the adaptive window is never narrower than the fixed
-// one, and it grows without bound while traffic stays local.
+// one, and it grows without bound while traffic stays local. Links out of
+// an empty partition bound nothing and are skipped with their source.
 func (e *Engine) nextWindow() (Time, bool) {
-	t := TimeInf
-	for _, p := range e.parts {
-		if h := p.queue.headTime(); h < t {
+	t, limit := TimeInf, TimeInf
+	for i, p := range e.parts {
+		h := p.queue.headTime()
+		if h == TimeInf {
+			continue
+		}
+		if h < t {
 			t = h
+		}
+		for _, r := range e.out[i] {
+			if b := sendBound(r, h); b < limit {
+				limit = b
+			}
 		}
 	}
 	if t == TimeInf || t > e.maxTime {
 		return 0, false
 	}
-	var limit Time
 	if e.fixedLA != 0 {
 		limit = satAdd(t, e.fixedLA)
-	} else {
-		limit = TimeInf
-		for _, r := range e.cross {
-			h := r.src.queue.headTime()
-			if h == TimeInf {
-				continue
-			}
-			b := satAdd(h, r.latency)
-			if r.nextSend > b {
-				b = r.nextSend
-			}
-			if b < limit {
-				limit = b
-			}
-		}
 	}
 	if e.maxTime != TimeInf && limit > e.maxTime {
 		limit = e.maxTime + 1 // events at exactly the deadline still run
@@ -466,7 +462,7 @@ func (e *Engine) runWindow(limit Time) {
 		}
 	}
 	e.windows++
-	before := e.EventCount()
+	before := e.jobEvents()
 	if len(e.jobs) == 1 {
 		e.serialWins++
 		e.consecSerial++
@@ -485,7 +481,17 @@ func (e *Engine) runWindow(limit Time) {
 		e.consecSerial = 0
 		e.runJobs(limit)
 	}
-	e.evw.Observe(float64(e.EventCount() - before))
+	e.evw.Observe(float64(e.jobEvents() - before))
+}
+
+// jobEvents returns the events handled so far by the window's jobs, the only
+// partitions that dispatch in it.
+func (e *Engine) jobEvents() uint64 {
+	var n uint64
+	for _, p := range e.jobs {
+		n += p.handled
+	}
+	return n
 }
 
 // runJobs executes a multi-partition window, starting the worker pool on
@@ -501,6 +507,15 @@ func (e *Engine) runJobs(limit Time) {
 		}
 		return
 	}
+	// Largest first: the deepest queue (usually the hub's) is claimed first,
+	// so it does not start last and run alone after the others finish.
+	deep := 0
+	for i, p := range e.jobs {
+		if p.queue.len() > e.jobs[deep].queue.len() {
+			deep = i
+		}
+	}
+	e.jobs[0], e.jobs[deep] = e.jobs[deep], e.jobs[0]
 	e.limit = limit
 	e.ticket.Store(0)
 	ep := e.epoch.Add(1) // publishes jobs/limit to the spinning workers
@@ -527,20 +542,15 @@ func (e *Engine) runJobs(limit Time) {
 // work and no emissions, p simply runs to completion in one window.
 func (e *Engine) wideLimit(p *Partition, limit Time) Time {
 	w := TimeInf
-	for _, r := range e.cross {
-		if r.src == p {
+	for i, src := range e.parts {
+		h := src.queue.headTime()
+		if src == p || h == TimeInf {
 			continue
 		}
-		h := r.src.queue.headTime()
-		if h == TimeInf {
-			continue
-		}
-		b := satAdd(h, r.latency)
-		if r.nextSend > b {
-			b = r.nextSend
-		}
-		if b = satAdd(b, e.dist[r.dst.idx][p.idx]); b < w {
-			w = b
+		for _, r := range e.out[i] {
+			if b := satAdd(sendBound(r, h), e.dist[r.dst.idx][p.idx]); b < w {
+				w = b
+			}
 		}
 	}
 	if e.maxTime != TimeInf && w > e.maxTime {
@@ -550,6 +560,16 @@ func (e *Engine) wideLimit(p *Partition, limit Time) Time {
 		return limit
 	}
 	return w
+}
+
+// sendBound is the earliest time link r can deliver anything while its
+// source's head event is at h: h plus the latency, or the link's next-send
+// bound when that is later.
+func sendBound(r *Remote, h Time) Time {
+	if b := satAdd(h, r.latency); b > r.nextSend {
+		return b
+	}
+	return r.nextSend
 }
 
 // spinBudget is how many times a barrier loop polls before yielding the OS
@@ -602,9 +622,9 @@ func (e *Engine) worker(idx int, last int64) {
 // stamped with source-assigned sequence numbers, and the emptied buffers
 // return to the source partition's pool for the next window. Merge order is
 // irrelevant to results — the (time, seq) order was fixed at emission — but
-// stays deterministic anyway (partition then dirty order).
+// stays deterministic anyway (job then dirty order).
 func (e *Engine) drainRemotes() {
-	for _, p := range e.parts {
+	for _, p := range e.jobs {
 		if len(p.dirty) == 0 {
 			continue
 		}
@@ -631,7 +651,7 @@ func (e *Engine) drainRemotes() {
 // (time, seq) order, matching what a fully serial run would have hit first.
 func (e *Engine) windowError() error {
 	var best *Partition
-	for _, p := range e.parts {
+	for _, p := range e.jobs {
 		if p.err == nil {
 			continue
 		}

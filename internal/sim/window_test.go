@@ -193,6 +193,58 @@ func TestLonePartitionRunsInOneWindow(t *testing.T) {
 	}
 }
 
+// firstWindowJobs runs the first window of a three-partition engine whose
+// queues hold 2, 1 and 5 events under one window limit, and returns that
+// window's job list in claim order.
+func firstWindowJobs(t *testing.T, cores int) []*Partition {
+	t.Helper()
+	e := NewEngine(WithPartitions(3), WithCores(cores))
+	defer e.stopWorkers()
+	nop := handlerFunc(func(Event) error { return nil })
+	for i, n := range []int{2, 1, 5} {
+		for j := 0; j < 3; j++ {
+			if j != i {
+				e.Link(e.Partition(i), e.Partition(j), 100)
+			}
+		}
+		for k := 0; k < n; k++ {
+			e.Partition(i).ScheduleTick(Time(10+k), nop)
+		}
+	}
+	e.prepare()
+	limit, ok := e.nextWindow()
+	if !ok {
+		t.Fatal("no runnable window")
+	}
+	e.runWindow(limit)
+	if e.Pending() != 0 || e.EventCount() != 8 {
+		t.Fatalf("window left %d pending, handled %d of 8", e.Pending(), e.EventCount())
+	}
+	return append([]*Partition(nil), e.jobs...)
+}
+
+// TestDeepestQueueClaimedFirst checks the claim order of a multi-partition
+// window: with a worker pool the deepest queue leads the job list, and the
+// inline engine keeps partition order.
+func TestDeepestQueueClaimedFirst(t *testing.T) {
+	for _, tc := range []struct {
+		cores int
+		want  []int
+	}{
+		{1, []int{0, 1, 2}},
+		{2, []int{2, 1, 0}},
+	} {
+		jobs := firstWindowJobs(t, tc.cores)
+		var got []int
+		for _, p := range jobs {
+			got = append(got, p.Index())
+		}
+		if fmt.Sprint(got) != fmt.Sprint(tc.want) {
+			t.Errorf("cores %d: claim order %v, want %v", tc.cores, got, tc.want)
+		}
+	}
+}
+
 // buildTwoChains wires two partitions that both run dense local chains and
 // never send, with a single cross link from partition 1 to partition 0. That
 // link is the only window bound: without a next-send promise it caps every
